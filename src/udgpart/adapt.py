@@ -140,11 +140,6 @@ def eliminate_bridges(g: GeometricGraph) -> GeometricGraph:
         g = g.with_edges([(a, b)], tag=TAG_DEBRIDGED)
 
 
-def _creates_new_bridge(g: GeometricGraph, edge, old_bridges) -> bool:
-    reduced = g.without_edge(*edge)
-    return any(b not in old_bridges for b in reduced.bridges)
-
-
 def thin_to_degree(
     g: GeometricGraph,
     deg_target: float,
@@ -168,27 +163,25 @@ def thin_to_degree(
     if rng is None:
         rng = np.random.default_rng(0)
     while g.avg_degree > deg_target:
+        bridges = set(g.bridges)
         banned = set()
-        removed = False
         while True:
             pool = [e for e in g.edges if e not in banned]
             if not pool:
-                break
+                raise TargetUnreachableError(
+                    f"average degree {g.avg_degree:.3f} still above {deg_target} "
+                    "with no removable edge left"
+                )
             edge = _pick_edge(g, pool, strategy, rng)
-            if strategy.forbid_disconnect and edge in g.bridges:
+            if strategy.forbid_disconnect and edge in bridges:
                 banned.add(edge)
                 continue
-            if strategy.forbid_new_bridges and _creates_new_bridge(g, edge, set(g.bridges)):
+            reduced = g.without_edge(*edge)
+            if strategy.forbid_new_bridges and not bridges.issuperset(reduced.bridges):
                 banned.add(edge)
                 continue
-            g = g.without_edge(*edge)
-            removed = True
+            g = reduced
             break
-        if not removed:
-            raise TargetUnreachableError(
-                f"average degree {g.avg_degree:.3f} still above {deg_target} "
-                "with no removable edge left"
-            )
     return g
 
 

@@ -79,6 +79,7 @@ def _cmd_generate(args, parser):
                     "error": "unreachable-target",
                     "attempts": exc.attempts,
                     "short_placements": exc.short_placements,
+                    "disconnected_placements": exc.disconnected_placements,
                 }
             )
             return EXIT_DOMAIN

@@ -4,6 +4,12 @@ Nodes are placed one at a time on a uniform G x G grid of candidate
 coordinates; placing a node marks every grid coordinate strictly closer than
 ``lam`` as unavailable, which enforces the pairwise minimum distance and
 yields the plane-coverage measure as the fraction of unavailable cells.
+
+Each draw picks the k-th free cell in row-major order, with k uniform over
+the free-cell count.  A per-row free count locates that cell, so a node costs
+O(G + disc area) work instead of a scan of all G^2 cells.  It is the same
+cell, from the same RNG stream, that a scan of the whole grid would pick,
+which keeps the bundled seed tables valid.
 """
 
 import math
@@ -18,11 +24,11 @@ from .seeds import SeedTableRow
 class UnreachableTargetError(RuntimeError):
     """Raised when repeated generation never met the requested property."""
 
-    def __init__(self, message, attempts, connected_seen, short_placements):
+    def __init__(self, message, attempts, short_placements, disconnected_placements):
         super().__init__(message)
         self.attempts = attempts
-        self.connected_seen = connected_seen
         self.short_placements = short_placements
+        self.disconnected_placements = disconnected_placements
 
 
 class SeedSearchError(RuntimeError):
@@ -83,16 +89,21 @@ def place_nodes(params: GeneratorParams, rng=None) -> PlacementResult:
     if rng is None:
         rng = np.random.default_rng(params.rng_seed)
     res = params.grid_resolution
-    marks = np.zeros(res * res, dtype=np.uint8)
+    marks = np.zeros((res, res), dtype=np.uint8)
+    row_free = np.full(res, res, dtype=np.int64)
     cell_coord = np.arange(res) / res
     lam, lam2 = params.lam, params.lam * params.lam
     placed: list[tuple[float, float]] = []
     for _ in range(params.node_count):
-        candidates = np.flatnonzero(marks == 0)
-        if candidates.size == 0:
+        free_before = np.cumsum(row_free)
+        total = int(free_before[-1])
+        if total == 0:
             break
-        pick = int(candidates[rng.integers(candidates.size)])
-        i, j = divmod(pick, res)
+        # the k-th free cell in row-major order, found row first
+        k = int(rng.integers(total))
+        i = int(np.searchsorted(free_before, k, side="right"))
+        k -= int(free_before[i] - row_free[i])
+        j = int(np.flatnonzero(marks[i] == 0)[k])
         x, y = i / res, j / res
         placed.append((x, y))
         ilo = max(0, int(math.floor((x - lam) * res)))
@@ -102,8 +113,9 @@ def place_nodes(params: GeneratorParams, rng=None) -> PlacementResult:
         dx2 = (cell_coord[ilo : ihi + 1] - x) ** 2
         dy2 = (cell_coord[jlo : jhi + 1] - y) ** 2
         inside = dx2[:, None] + dy2[None, :] < lam2
+        block = marks[ilo : ihi + 1, jlo : jhi + 1]
+        row_free[ilo : ihi + 1] -= (inside & (block == 0)).sum(axis=1)
         # marks saturate at 2; higher multiplicities are irrelevant
-        block = marks[ilo * res : (ihi + 1) * res].reshape(-1, res)[:, jlo : jhi + 1]
         np.minimum(block + inside.astype(np.uint8), 2, out=block)
     coverage = float(int((marks >= 2).sum()) / marks.size)
     unavailable = float(int((marks >= 1).sum()) / marks.size)
@@ -121,15 +133,16 @@ def generate_connected(
 ) -> PlacementResult:
     """Repeat placement until a connected graph with the full node count appears.
 
-    Raises :class:`UnreachableTargetError` with the attempt statistics when
-    ``max_attempts`` placements were all rejected.
+    Raises :class:`UnreachableTargetError` when ``max_attempts`` placements
+    were all rejected, counting the short placements and the full placements
+    that came out disconnected.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     if rng is None:
         rng = np.random.default_rng(params.rng_seed)
-    connected_seen = 0
     short_placements = 0
+    disconnected_placements = 0
     for _ in range(max_attempts):
         result = place_nodes(params, rng)
         if result.placed < params.node_count:
@@ -137,11 +150,12 @@ def generate_connected(
             continue
         if result.graph.is_connected():
             return result
+        disconnected_placements += 1
     raise UnreachableTargetError(
         f"no connected graph with {params.node_count} nodes in {max_attempts} attempts",
         attempts=max_attempts,
-        connected_seen=connected_seen,
         short_placements=short_placements,
+        disconnected_placements=disconnected_placements,
     )
 
 

@@ -63,6 +63,7 @@ class TestGenerate:
         assert code == 1
         assert summary["error"] == "unreachable-target"
         assert summary["attempts"] == 10
+        assert summary["short_placements"] + summary["disconnected_placements"] == 10
 
 
 class TestAdapt:

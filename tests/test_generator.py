@@ -1,7 +1,12 @@
+import hashlib
+import math
+
+import numpy as np
 import pytest
 
 from udgpart.generator import (
     GeneratorParams,
+    PlacementResult,
     SeedSearchError,
     SeedSearchTargets,
     UnreachableTargetError,
@@ -9,6 +14,8 @@ from udgpart.generator import (
     place_nodes,
     seed_search,
 )
+from udgpart.graphs import build_udg
+from udgpart.metrics import VARIANT_DEBRIDGE_THIN, VARIANT_THIN, prepare_graph
 from udgpart.seeds import degree_seed
 
 
@@ -96,6 +103,84 @@ class TestPlaceNodes:
         assert means[0] < means[1] < means[2]
 
 
+def whole_grid_place_nodes(params, rng):
+    """Reference sampler: rescans every grid cell before each draw.
+
+    Kept only to pin ``place_nodes``, which must pick the same cells from the
+    same RNG stream.
+    """
+    res = params.grid_resolution
+    marks = np.zeros(res * res, dtype=np.uint8)
+    cell_coord = np.arange(res) / res
+    lam, lam2 = params.lam, params.lam * params.lam
+    placed = []
+    for _ in range(params.node_count):
+        candidates = np.flatnonzero(marks == 0)
+        if candidates.size == 0:
+            break
+        pick = int(candidates[rng.integers(candidates.size)])
+        i, j = divmod(pick, res)
+        x, y = i / res, j / res
+        placed.append((x, y))
+        ilo = max(0, int(math.floor((x - lam) * res)))
+        ihi = min(res - 1, int(math.ceil((x + lam) * res)))
+        jlo = max(0, int(math.floor((y - lam) * res)))
+        jhi = min(res - 1, int(math.ceil((y + lam) * res)))
+        dx2 = (cell_coord[ilo : ihi + 1] - x) ** 2
+        dy2 = (cell_coord[jlo : jhi + 1] - y) ** 2
+        inside = dx2[:, None] + dy2[None, :] < lam2
+        block = marks[ilo * res : (ihi + 1) * res].reshape(-1, res)[:, jlo : jhi + 1]
+        np.minimum(block + inside.astype(np.uint8), 2, out=block)
+    return PlacementResult(
+        graph=build_udg(placed, r_tr=params.r_tr, lam=params.lam),
+        coverage=float(int((marks >= 2).sum()) / marks.size),
+        unavailable_fraction=float(int((marks >= 1).sum()) / marks.size),
+        placed=len(placed),
+    )
+
+
+REFERENCE_PARAMS = [
+    GeneratorParams(node_count=20, lam=0.210938, r_tr=0.309375, rng_seed=3),
+    GeneratorParams(node_count=100, lam=0.09, r_tr=0.15, rng_seed=8),  # jams
+    GeneratorParams(node_count=10, lam=0.75, r_tr=0.9, rng_seed=5),  # jams
+    GeneratorParams(node_count=40, lam=0.2, r_tr=0.3, rng_seed=2),  # jams
+    GeneratorParams(node_count=12, lam=0.2, r_tr=0.35, grid_resolution=37, rng_seed=4),
+    GeneratorParams(node_count=60, lam=0.11, r_tr=0.2, grid_resolution=200, rng_seed=6),
+    GeneratorParams(node_count=5, lam=0.3, r_tr=0.5, grid_resolution=2, rng_seed=1),  # jams
+]
+
+
+class TestMatchesWholeGridSampler:
+    @pytest.mark.parametrize("params", REFERENCE_PARAMS)
+    def test_same_result_and_rng_state(self, params):
+        rng_new = np.random.default_rng(params.rng_seed)
+        rng_ref = np.random.default_rng(params.rng_seed)
+        got = place_nodes(params, rng_new)
+        want = whole_grid_place_nodes(params, rng_ref)
+        assert got == want
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+# SHA-256 of prepare_graph(..., seed=7).to_json(), recorded with the
+# whole-grid sampler; seed 7 is one where SG1 and SG2 differ at 300 nodes
+PINNED_GRAPHS = {
+    (20, 3, VARIANT_THIN): "d9f42e35423d19ac7d8ef16d4ccf0a7073c969fd63761ded3ae2f4941cd1d2ce",
+    (20, 3, VARIANT_DEBRIDGE_THIN): "a8c826a641054e246b4438073e713edbd22741967059ecd186b28e63163e5a8d",
+    (100, 4, VARIANT_THIN): "12058f348be8442246d60b8c723e821097045f597e063c67557ead56e50f899a",
+    (100, 4, VARIANT_DEBRIDGE_THIN): "30ea6da2589666d2a2fdf649aa6a69b00635dd7b50fc683b42d02c37da1dfc9f",
+    (300, 6, VARIANT_THIN): "7dcf191bda981ac9213bd8306a565ade001b7b830d4504e01ca1c035cc20a905",
+    (300, 6, VARIANT_DEBRIDGE_THIN): "9762858341a7f332c3e9bd26735acae570d3859ab6c7d2b06d16b74346012191",
+}
+
+
+class TestPinnedPreparedGraphs:
+    @pytest.mark.parametrize("key", sorted(PINNED_GRAPHS))
+    def test_prepare_graph_hash(self, key):
+        node_count, deg, variant = key
+        g = prepare_graph(degree_seed(node_count, deg), variant, seed=7, max_attempts=100)
+        assert hashlib.sha256(g.to_json().encode()).hexdigest() == PINNED_GRAPHS[key]
+
+
 class TestSeedRowReproduction:
     def test_row_20_3_degree_and_connectivity(self):
         # bundled seed row: lam 0.210938, r_tr 0.309375, deg 3.057, p_conn 0.857
@@ -128,6 +213,9 @@ class TestGenerateConnected:
         with pytest.raises(UnreachableTargetError) as exc:
             generate_connected(p, max_attempts=15)
         assert exc.value.attempts == 15
+        assert exc.value.attempts == (
+            exc.value.short_placements + exc.value.disconnected_placements
+        )
 
     def test_max_attempts_validated(self):
         p = GeneratorParams(node_count=2, lam=0.1, r_tr=0.3, rng_seed=1)
