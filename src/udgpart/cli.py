@@ -337,8 +337,10 @@ def _cmd_check(args, parser):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read report {args.report}: {exc}")
+    n = doc.get("n") if isinstance(doc, dict) else None
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        parser.error(f"report {args.report} carries no positive integer \"n\"")
     problems = []
-    n = int(doc["n"])
     raw_assign = doc.get("assignment")
     if raw_assign is None:
         problems.append("report carries no assignment")

@@ -308,8 +308,7 @@ def export_lp(model: IlpModel) -> str:
         out.write(f" obj: 0 {model.variables[0]}\n")
     out.write("Subject To\n")
     for c in model.constraints:
-        rel = c.relation if c.relation != "=" else "="
-        out.write(f" {c.name}: {_fmt_expr(c.terms, model.variables)} {rel} {_fmt_coef(c.bound)}\n")
+        out.write(f" {c.name}: {_fmt_expr(c.terms, model.variables)} {c.relation} {_fmt_coef(c.bound)}\n")
     out.write("Binary\n")
     for name in model.variables:
         out.write(f" {name}\n")

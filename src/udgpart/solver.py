@@ -6,10 +6,13 @@ subset), and coverage auxiliaries follow from the picks.  The oracle
 enumerates whole assignments; the branch-and-bound search fixes nodes one at
 a time and prunes with a combinatorial per-node coverage cap that is exact on
 leaves, so its bound never undercuts a completion of the current partial
-assignment.
+assignment.  Soft one-mean-per-node programs start the search from a greedy
+labelling improved by local search on incrementally kept cover counts; when
+that incumbent meets the root bound, it is optimal without any branching.
 """
 
 import itertools
+import random
 import time
 from dataclasses import dataclass
 
@@ -40,13 +43,10 @@ class OracleCapError(RuntimeError):
 class SolveLimits:
     time_limit: float = 1200.0
     node_limit: int | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.time_limit <= 0:
             raise ValueError("time_limit must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -155,11 +155,10 @@ def brute_force(model: IlpModel, cap: int = 10_000_000) -> SolveReport:
     )
 
 
-def greedy_incumbent(g: GeometricGraph, n: int, objective_kind: str = "optimal") -> PartitionAssignment:
+def greedy_incumbent(g: GeometricGraph, n: int) -> PartitionAssignment:
     """Valid one-mean-per-node start: highest degree first, rarest mean locally.
 
-    The policy is identical for both soft objectives; ``objective_kind`` is
-    accepted for symmetry with the solver interface.
+    The policy is identical for both soft objectives.
     """
     nbrs = tuple(
         tuple(sorted(g.closed_neighbourhood(v))) for v in range(g.node_count)
@@ -342,9 +341,9 @@ def solve(model: IlpModel, limits: SolveLimits = SolveLimits()) -> SolveReport:
     """Branch and bound with warm start, time limit and proof of optimality.
 
     Returns status ``optimal`` with objective == best bound when the search
-    space is exhausted, ``feasible-time-limit`` with the incumbent and the
-    root bound when interrupted, and ``infeasible`` when no admissible
-    assignment exists.
+    space is exhausted or the warm start already meets the root bound,
+    ``feasible-time-limit`` with the incumbent and the root bound when
+    interrupted, and ``infeasible`` when no admissible assignment exists.
     """
     start = time.perf_counter()
     if model.kind not in (KIND_FEASIBILITY, KIND_OPTIMAL_SOFT, KIND_MAXIMAL_SOFT):
@@ -354,23 +353,22 @@ def solve(model: IlpModel, limits: SolveLimits = SolveLimits()) -> SolveReport:
         return SolveReport(
             STATUS_INFEASIBLE, None, None, None, time.perf_counter() - start, 0
         )
+    deadline = start + limits.time_limit
     search = _Search(model, domain, limits)
 
+    interrupted = False
     if model.kind != KIND_FEASIBILITY and model.capacity == CAP_EXACTLY_ONE:
-        warm = _greedy_from_neighbourhoods(model.closed_neighbourhoods, model.n)
-        warm = _polish(model, warm)
-        warm_row = [
-            next(k for k, p in enumerate(domain) if p == means)
-            for means in warm.assign
-        ]
-        search.incumbent_row = warm_row
-        search.incumbent_val = _soft_objective(model, warm)
+        labels, value, interrupted = _warm_start(model, search.root_bound, deadline)
+        search.incumbent_row = [domain.index(frozenset((i,))) for i in labels]
+        search.incumbent_val = value
 
-    remaining = limits.time_limit - (time.perf_counter() - start)
-    search.run(max(remaining, 1e-3))
+    # a warm start at the root bound is optimal; one cut by the clock ends
+    # the solve, so the clock never decides what a proven result looks like
+    if not interrupted and search.incumbent_val != search.root_bound:
+        search.run(max(deadline - time.perf_counter(), 1e-3))
+        interrupted = search.timed_out or search.node_limited
     wall = time.perf_counter() - start
 
-    interrupted = search.timed_out or search.node_limited
     if search.incumbent_row is None:
         if interrupted:
             return SolveReport(
@@ -402,34 +400,163 @@ def solve(model: IlpModel, limits: SolveLimits = SolveLimits()) -> SolveReport:
     )
 
 
-def _soft_objective(model: IlpModel, assignment: PartitionAssignment) -> float:
-    values = model.assignment_to_values(assignment)
-    return model.objective_value(values)
+class _Cover:
+    """Cover counts of a complete one-mean-per-node labelling of a soft model.
+
+    ``cc[v][i]`` counts the nodes of N[v] holding mean i+1 and
+    ``distinct[v]`` the means N[v] sees, so relabelling a node is evaluated
+    and applied in O(deg) and ``value`` is the model's objective throughout.
+    ``cap[v]`` is the most node v can contribute: min(n, |N[v]|) means, or
+    for the maximal program 1 if |N[v]| >= n and 0 otherwise; their sum is
+    the search's root bound.
+    """
+
+    def __init__(self, model, labels):
+        self.n = n = model.n
+        self.nbrs = model.closed_neighbourhoods
+        self.maximal = model.kind == KIND_MAXIMAL_SOFT
+        self.labels = list(labels)
+        self.cc = [[0] * n for _ in self.nbrs]
+        for row, nb in zip(self.cc, self.nbrs):
+            for w in nb:
+                row[self.labels[w] - 1] += 1
+        self.distinct = [n - row.count(0) for row in self.cc]
+        if self.maximal:
+            self.cap = [1 if len(nb) >= n else 0 for nb in self.nbrs]
+            self.value = self.distinct.count(n)
+        else:
+            self.cap = [min(n, len(nb)) for nb in self.nbrs]
+            self.value = sum(self.distinct)
+
+    def deficient(self, v):
+        """Whether node v contributes less than its cap."""
+        if self.maximal:
+            return self.cap[v] == 1 and self.distinct[v] < self.n
+        return self.distinct[v] < self.cap[v]
+
+    def delta(self, u, mean):
+        """Objective change of relabelling node u with ``mean``."""
+        a, b = self.labels[u] - 1, mean - 1
+        if a == b:
+            return 0
+        n, cc, distinct = self.n, self.cc, self.distinct
+        d = 0
+        for w in self.nbrs[u]:
+            row = cc[w]
+            change = (row[b] == 0) - (row[a] == 1)
+            if not self.maximal:
+                d += change
+            elif change:
+                d += (distinct[w] + change == n) - (distinct[w] == n)
+        return d
+
+    def move(self, u, mean, delta):
+        """Relabel node u with ``mean``; ``delta`` is ``self.delta(u, mean)``."""
+        a, b = self.labels[u] - 1, mean - 1
+        cc, distinct = self.cc, self.distinct
+        for w in self.nbrs[u]:
+            row = cc[w]
+            row[a] -= 1
+            if row[a] == 0:
+                distinct[w] -= 1
+            if row[b] == 0:
+                distinct[w] += 1
+            row[b] += 1
+        self.labels[u] = mean
+        self.value += delta
 
 
-def _polish(model: IlpModel, assignment: PartitionAssignment, max_rounds: int = 20):
-    """Single-node label moves until no move improves the soft objective."""
-    labels = list(assignment.labels())
-    nc, n = model.node_count, model.n
-    best = _soft_objective(model, PartitionAssignment.from_labels(labels, n))
+def _warm_start(model, target, deadline):
+    """Greedy labelling, delta polish, then tabu search up to ``target``.
+
+    Returns the best labels, their objective and whether the clock cut the
+    work short.  Everything but the cut is decided by the model alone: the
+    tabu phase draws from an RNG seeded by the model's size and stops after
+    a fixed number of moves that do not improve on the best labelling.
+    """
+    greedy = _greedy_from_neighbourhoods(model.closed_neighbourhoods, model.n)
+    cover = _Cover(model, greedy.labels())
+    if not _polish(cover, deadline):
+        return cover.labels, cover.value, True
+    rng = random.Random(model.node_count * 7919 + model.n)
+    return _tabu(cover, target, deadline, rng, 100 * model.node_count)
+
+
+def _polish(cover, deadline, max_rounds=20):
+    """Single-node label moves until no move improves the soft objective.
+
+    Moves are tried node by node, mean by mean, and the first improving one
+    is kept.  Returns False when the deadline passed first.
+    """
+    n = cover.n
     for _ in range(max_rounds):
         improved = False
-        for v in range(nc):
-            original = labels[v]
+        for v in range(len(cover.labels)):
+            if time.perf_counter() >= deadline:
+                return False
             for i in range(1, n + 1):
-                if i == original:
-                    continue
-                labels[v] = i
-                val = _soft_objective(
-                    model, PartitionAssignment.from_labels(labels, n)
-                )
-                if val > best:
-                    best = val
-                    original = i
+                d = cover.delta(v, i)
+                if d > 0:
+                    cover.move(v, i, d)
                     improved = True
-                else:
-                    labels[v] = original
-            labels[v] = original
         if not improved:
             break
-    return PartitionAssignment.from_labels(labels, n)
+    return True
+
+
+def _tabu(cover, target, deadline, rng, patience):
+    """Tabu search over single relabellings that repair deficient nodes.
+
+    Each step picks a node below its cap at random and applies the best
+    move that hands one of its missing means to a node of its closed
+    neighbourhood, ties broken at random.  A moved node stays fixed for a
+    few steps unless moving it again beats the best labelling seen.  Stops
+    at ``target``, after ``patience`` steps without a new best, or at the
+    deadline.  Returns the best labels, their objective and whether the
+    deadline was the reason to stop.
+    """
+    n, nbrs, cc = cover.n, cover.nbrs, cover.cc
+    nc = len(cover.labels)
+    deficient = [v for v in range(nc) if cover.deficient(v)]
+    slot = [-1] * nc
+    for k, v in enumerate(deficient):
+        slot[v] = k
+    tabu_until = [0] * nc
+    best_labels, best = list(cover.labels), cover.value
+    step = stall = 0
+    while deficient and best < target and stall < patience:
+        if (step & 0x3F) == 0 and time.perf_counter() >= deadline:
+            return best_labels, best, True
+        step += 1
+        stall += 1
+        v = deficient[rng.randrange(len(deficient))]
+        missing = [i + 1 for i in range(n) if cc[v][i] == 0]
+        moves, top = [], None
+        for w in nbrs[v]:
+            for i in missing:
+                d = cover.delta(w, i)
+                if tabu_until[w] >= step and cover.value + d <= best:
+                    continue
+                if top is None or d > top:
+                    moves, top = [(w, i)], d
+                elif d == top:
+                    moves.append((w, i))
+        if not moves:
+            continue
+        w, i = moves[rng.randrange(len(moves))]
+        cover.move(w, i, top)
+        tabu_until[w] = step + 2 + rng.randrange(8)
+        for x in nbrs[w]:
+            bad = cover.deficient(x)
+            if bad and slot[x] < 0:
+                slot[x] = len(deficient)
+                deficient.append(x)
+            elif not bad and slot[x] >= 0:
+                last = deficient.pop()
+                if last != x:
+                    deficient[slot[x]] = last
+                    slot[last] = slot[x]
+                slot[x] = -1
+        if cover.value > best:
+            best_labels, best, stall = list(cover.labels), cover.value, 0
+    return best_labels, best, False

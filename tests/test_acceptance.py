@@ -270,16 +270,29 @@ def test_criterion_10_time_limit_contract():
     row = degree_seed(120, 4)
     g = prepare_graph(row, "SG1", seed=10100, max_attempts=60)
     model = build_maximal_soft(g, 5)
+    t0 = time.perf_counter()
     r = solve(model, SolveLimits(time_limit=5.0))
+    wall = time.perf_counter() - t0
+    assert wall <= 5.0 + 0.5
     assert r.status == "feasible-time-limit"
     assert r.assignment is not None
     values = model.assignment_to_values(r.assignment)
     assert model.violated_constraints(values) == []
     assert r.objective <= r.best_bound
+    # whatever the status, a solve returns within its limit plus a small
+    # slack, also where the warm start alone is more work than the limit
+    big = prepare_graph(degree_seed(300, 6), "SG1", seed=10300, max_attempts=60)
+    big_walls = []
+    for build in (build_optimal_soft, build_maximal_soft):
+        t0 = time.perf_counter()
+        solve(build(big, 5), SolveLimits(time_limit=0.1))
+        big_walls.append(time.perf_counter() - t0)
+    assert max(big_walls) <= 0.1 + 0.5
     report(
         10,
         f"incumbent {r.objective} <= bound {r.best_bound} after "
-        f"{r.explored_nodes} nodes under a 5s limit",
+        f"{r.explored_nodes} nodes in {wall:.2f}s under a 5s limit; "
+        f"300 nodes, n=5 under a 0.1s limit: {max(big_walls):.2f}s",
     )
 
 

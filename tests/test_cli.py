@@ -172,6 +172,19 @@ class TestCheck:
         assert code == 1
         assert any("miss_cov" in p for p in summary["problems"])
 
+    @pytest.mark.parametrize("n", [None, "three", 2.5, True, 0])
+    def test_report_without_integer_n_is_usage_error(self, tmp_path, capsys, n):
+        src, report = self._partition_report(tmp_path, capsys, complete_graph(3))
+        doc = json.loads(report.read_text())
+        if n is None:
+            del doc["n"]
+        else:
+            doc["n"] = n
+        report.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--graph", src, "--report", str(report)])
+        assert exc.value.code == 2
+
     def test_tampered_assignment_detected(self, tmp_path, capsys):
         src, report = self._partition_report(tmp_path, capsys, complete_graph(3))
         doc = json.loads(report.read_text())

@@ -4,6 +4,7 @@ import pytest
 
 from udgpart.generator import GeneratorParams, place_nodes
 from udgpart.ilp import (
+    PartitionAssignment,
     build_cost_based,
     build_domatic_feasibility,
     build_fixed_k,
@@ -11,9 +12,15 @@ from udgpart.ilp import (
     build_optimal_soft,
     build_soft_variant,
 )
+from udgpart.metrics import prepare_graph
+from udgpart.seeds import degree_seed
 from udgpart.solver import (
     OracleCapError,
     SolveLimits,
+    _Cover,
+    _polish,
+    _Search,
+    _tabu,
     brute_force,
     greedy_incumbent,
     portfolio_domain,
@@ -187,6 +194,17 @@ class TestSolve:
         assert r.assignment is not None
         assert r.objective <= r.best_bound
 
+    def test_deadline_inside_warm_start_returns_incumbent(self):
+        g = _random_lambda_udg(12, lo=30, hi=40)
+        for build in (build_optimal_soft, build_maximal_soft):
+            m = build(g, 4)
+            r = solve(m, SolveLimits(time_limit=1e-9))
+            assert r.status == "feasible-time-limit"
+            assert r.explored_nodes == 0
+            values = m.assignment_to_values(r.assignment)
+            assert m.violated_constraints(values) == []
+            assert m.objective_value(values) == r.objective <= r.best_bound
+
     def test_anytime_never_beats_optimal(self):
         g = _random_lambda_udg(11)
         m = build_optimal_soft(g, 3)
@@ -213,3 +231,74 @@ class TestSolve:
         r = solve(m)
         assert r.status == "optimal"
         assert r.objective == 6.0
+
+    def test_warm_start_at_root_bound_is_optimal(self):
+        # the warm start reaches the root bound (180 and 60), so the solve is
+        # proven before the search explores a node
+        g = prepare_graph(degree_seed(60, 4), "SG1", 604, 100)
+        for build, bound in ((build_optimal_soft, 180.0), (build_maximal_soft, 60.0)):
+            r = solve(build(g, 3), SolveLimits(time_limit=30, node_limit=1))
+            assert r.status == "optimal"
+            assert r.objective == r.best_bound == bound
+            assert r.explored_nodes == 0
+
+
+class _CheckedCover(_Cover):
+    """Cover whose every applied move is recounted from scratch."""
+
+    def __init__(self, model, labels):
+        super().__init__(model, labels)
+        self.model = model
+        self.moves = 0
+
+    def move(self, u, mean, delta):
+        super().move(u, mean, delta)
+        self.moves += 1
+        assert self.value == _recount(self.model, self.labels)
+
+
+def _recount(model, labels):
+    values = model.assignment_to_values(
+        PartitionAssignment.from_labels(labels, model.n)
+    )
+    return model.objective_value(values)
+
+
+class TestCoverDeltas:
+    def test_polish_and_tabu_moves_match_recount(self):
+        polish_moves = tabu_moves = 0
+        for trial in range(6):
+            g = _random_lambda_udg(trial + 200, lo=12, hi=30)
+            for build in (build_optimal_soft, build_maximal_soft):
+                for n in (3, 4, 5):
+                    m = build(g, n)
+                    cover = _CheckedCover(m, [1] * g.node_count)
+                    assert cover.value == _recount(m, cover.labels)
+                    assert _polish(cover, float("inf"))
+                    polish_moves += cover.moves
+                    cover.moves = 0
+                    target = _Search(m, portfolio_domain(m), SolveLimits()).root_bound
+                    labels, best, cut = _tabu(
+                        cover, target, float("inf"), random.Random(trial), 20 * g.node_count
+                    )
+                    assert not cut
+                    assert best == _recount(m, labels) <= target
+                    tabu_moves += cover.moves
+        assert polish_moves and tabu_moves  # both phases were exercised
+
+    def test_every_delta_matches_recount(self):
+        rng = random.Random(5)
+        for trial in range(4):
+            g = _random_lambda_udg(trial + 300)
+            for build in (build_optimal_soft, build_maximal_soft):
+                for n in (3, 4, 5):
+                    m = build(g, n)
+                    cover = _Cover(m, [rng.randint(1, n) for _ in range(g.node_count)])
+                    for _ in range(40):
+                        u, mean = rng.randrange(g.node_count), rng.randint(1, n)
+                        d = cover.delta(u, mean)
+                        labels = list(cover.labels)
+                        labels[u] = mean
+                        assert cover.value + d == _recount(m, labels)
+                        cover.move(u, mean, d)
+                        assert cover.value == _recount(m, cover.labels)
