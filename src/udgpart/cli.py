@@ -30,7 +30,12 @@ from .generator import (
 )
 from .graphs import GeometricGraph
 from .ilp import (
+    CAP_COST,
+    CAP_EXACTLY_ONE,
+    CAP_FIXED_K,
     PartitionAssignment,
+    _validate_costs,
+    _validate_k,
     build_cost_based,
     build_domatic_feasibility,
     build_fixed_k,
@@ -38,6 +43,7 @@ from .ilp import (
     build_optimal_soft,
     build_soft_variant,
     export_lp,
+    portfolio_domain,
 )
 from .metrics import ExperimentConfig, coverage_errors, run_experiment
 from .seeds import SeedTableRow, degree_seed, rows_to_csv
@@ -271,48 +277,57 @@ def _cmd_export_lp(args, parser):
     return EXIT_OK
 
 
+# config key -> (ExperimentConfig field, conversion); absent keys keep the
+# ExperimentConfig defaults
+_CONFIG_FIELDS = {
+    "graphs_per_row": ("graphs_per_row", int),
+    "partition_sizes": ("partition_sizes", tuple),
+    "objectives": ("objectives", tuple),
+    "time_limit": ("limits", lambda t: SolveLimits(time_limit=float(t))),
+    "variant": ("variant", str),
+    "seed": ("rng_seed", int),
+    "max_attempts": ("max_attempts", int),
+    "threads": ("threads", int),
+}
+
+
+def _seed_row(raw):
+    if "lambda" in raw and "r_tr" in raw:
+        return SeedTableRow(
+            node_count=int(raw["n_nodes"]),
+            deg_exp=float(raw["deg_exp"]),
+            lam=float(raw["lambda"]),
+            r_tr=float(raw["r_tr"]),
+            mean_coverage=0.0,
+            mean_avg_degree=0.0,
+            p_connected=0.0,
+        )
+    return degree_seed(int(raw["n_nodes"]), float(raw["deg_exp"]))
+
+
 def _experiment_config(path, threads, parser):
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config {path}: {exc}")
-    raw_rows = doc.get("rows", [])
-    if not raw_rows:
+    if not isinstance(doc, dict):
+        parser.error(f"config {path} is not a JSON object")
+    if not doc.get("rows"):
         parser.error("config contains no rows")
-    rows = []
-    for raw in raw_rows:
-        if "lambda" in raw and "r_tr" in raw:
-            rows.append(
-                SeedTableRow(
-                    node_count=int(raw["n_nodes"]),
-                    deg_exp=float(raw["deg_exp"]),
-                    lam=float(raw["lambda"]),
-                    r_tr=float(raw["r_tr"]),
-                    mean_coverage=0.0,
-                    mean_avg_degree=0.0,
-                    p_connected=0.0,
-                )
-            )
-        else:
-            try:
-                rows.append(degree_seed(int(raw["n_nodes"]), float(raw["deg_exp"])))
-            except KeyError as exc:
-                parser.error(str(exc))
+    if threads is not None:
+        doc["threads"] = threads
     try:
         return ExperimentConfig(
-            seed_rows=tuple(rows),
-            graphs_per_row=int(doc.get("graphs_per_row", 20)),
-            partition_sizes=tuple(doc.get("partition_sizes", [3, 4, 5])),
-            objectives=tuple(doc.get("objectives", ["optimal", "maximal"])),
-            limits=SolveLimits(time_limit=float(doc.get("time_limit", 1200.0))),
-            variant=doc.get("variant", "SG1"),
-            rng_seed=int(doc.get("seed", 0)),
-            max_attempts=int(doc.get("max_attempts", 100)),
-            threads=threads if threads is not None else int(doc.get("threads", 1)),
+            seed_rows=tuple(_seed_row(raw) for raw in doc["rows"]),
+            **{
+                name: convert(doc[key])
+                for key, (name, convert) in _CONFIG_FIELDS.items()
+                if key in doc
+            },
         )
-    except ValueError as exc:
-        parser.error(str(exc))
+    except (KeyError, TypeError, ValueError) as exc:
+        parser.error(f"bad config {path}: {exc}")
 
 
 def _cmd_experiment(args, parser):
@@ -330,6 +345,20 @@ def _cmd_experiment(args, parser):
     return EXIT_OK if solved else EXIT_DOMAIN
 
 
+def _report_domain(doc, n, parser, path):
+    """Admissible portfolios under the report's capacity (exactly-one if absent)."""
+    cap = doc.get("capacity", {"mode": CAP_EXACTLY_ONE})
+    if not isinstance(cap, dict):
+        parser.error(f"report {path}: capacity must be an object, got {cap!r}")
+    mode = cap.get("mode", CAP_EXACTLY_ONE)
+    try:
+        k = _validate_k(cap.get("k"), n) if mode == CAP_FIXED_K else None
+        costs = _validate_costs(cap.get("costs"), n) if mode == CAP_COST else None
+        return set(portfolio_domain(n, mode, k, costs))
+    except ValueError as exc:
+        parser.error(f"report {path}: {exc}")
+
+
 def _cmd_check(args, parser):
     g = _load_graph(args.graph, parser)
     try:
@@ -340,6 +369,7 @@ def _cmd_check(args, parser):
     n = doc.get("n") if isinstance(doc, dict) else None
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         parser.error(f"report {args.report} carries no positive integer \"n\"")
+    domain = _report_domain(doc, n, parser, args.report)
     problems = []
     raw_assign = doc.get("assignment")
     if raw_assign is None:
@@ -356,17 +386,11 @@ def _cmd_check(args, parser):
             problems.append(f"assignment invalid: {exc}")
             assignment = None
         if assignment is not None:
-            cap = doc.get("capacity", {"mode": "exactly-one"})
-            mode = cap.get("mode", "exactly-one")
             for v, means in enumerate(assignment.assign):
-                if mode == "exactly-one" and len(means) != 1:
-                    problems.append(f"node {v} holds {len(means)} means")
-                elif mode == "fixed-k" and len(means) != cap.get("k"):
-                    problems.append(f"node {v} holds {len(means)} means, not k")
-                elif mode == "cost":
-                    total = sum(cap["costs"][i - 1] for i in means)
-                    if abs(total - 1.0) > 1e-9:
-                        problems.append(f"node {v} spends {total}, not 1")
+                if means not in domain:
+                    problems.append(
+                        f"node {v} holds {sorted(means)}, not a portfolio its capacity admits"
+                    )
             errors = coverage_errors(g, assignment, n)
             claimed = doc.get("errors") or {}
             if claimed.get("miss_cov") != errors.miss_cov:

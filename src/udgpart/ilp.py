@@ -9,7 +9,9 @@ exactly-one, exactly-k, or cost-weighted (unit budget).
 """
 
 import io
-from dataclasses import dataclass
+import itertools
+import numbers
+from dataclasses import dataclass, replace
 
 from .graphs import GeometricGraph
 
@@ -135,25 +137,26 @@ def _closed_neighbourhoods(g: GeometricGraph) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _capacity_constraints(model_n, node_count, x_index, capacity, k, costs):
-    out = []
-    for v in range(node_count):
-        if capacity == CAP_EXACTLY_ONE:
-            terms = tuple((x_index(v, i), 1.0) for i in range(1, model_n + 1))
-            out.append(Constraint(f"assign_{v}", terms, "=", 1.0))
-        elif capacity == CAP_FIXED_K:
-            terms = tuple((x_index(v, i), 1.0) for i in range(1, model_n + 1))
-            out.append(Constraint(f"assign_{v}", terms, "=", float(k)))
-        else:
-            terms = tuple(
-                (x_index(v, i), float(costs[i - 1])) for i in range(1, model_n + 1)
-            )
-            out.append(Constraint(f"assign_{v}", terms, "=", 1.0))
-    return out
+def _capacity_constraints(n, node_count, x_index, capacity, k, costs):
+    """One ``assign_v`` row per node: costs (or ones) summing to 1 (or k)."""
+    coefs = costs if capacity == CAP_COST else (1.0,) * n
+    bound = float(k) if capacity == CAP_FIXED_K else 1.0
+    return [
+        Constraint(
+            f"assign_{v}",
+            tuple((x_index(v, i), coefs[i - 1]) for i in range(1, n + 1)),
+            "=",
+            bound,
+        )
+        for v in range(node_count)
+    ]
 
 
 def _validate_costs(costs, n):
-    costs = tuple(float(c) for c in costs)
+    try:
+        costs = tuple(float(c) for c in costs)
+    except (TypeError, ValueError):
+        raise ValueError(f"costs must be a list of numbers, got {costs!r}") from None
     if len(costs) != n:
         raise ValueError(f"need {n} cost components, got {len(costs)}")
     if not all(0.0 < c <= 1.0 for c in costs):
@@ -162,9 +165,33 @@ def _validate_costs(costs, n):
 
 
 def _validate_k(k, n):
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not (1 <= k <= n):
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     return int(k)
+
+
+def portfolio_domain(n, capacity, k=None, costs=None) -> tuple[frozenset[int], ...]:
+    """Admissible per-node mean portfolios, identical for every node.
+
+    A single mean under exactly-one, every k-subset under fixed-k, and every
+    subset whose costs sum to 1 under the cost rule; ``k`` and ``costs`` are
+    taken as validated.
+    """
+    means = range(1, n + 1)
+    if capacity == CAP_EXACTLY_ONE:
+        return tuple(frozenset((i,)) for i in means)
+    if capacity == CAP_FIXED_K:
+        return tuple(frozenset(c) for c in itertools.combinations(means, k))
+    if capacity != CAP_COST:
+        raise ValueError(f"unknown capacity mode {capacity!r}")
+    out = []
+    for mask in range(1, 2**n):
+        subset = [i for i in means if mask >> (i - 1) & 1]
+        if abs(sum(costs[i - 1] for i in subset) - 1.0) <= 1e-9:
+            out.append(frozenset(subset))
+    return tuple(out)
 
 
 def _build(g, n, kind, capacity, k=None, costs=None):
@@ -174,15 +201,11 @@ def _build(g, n, kind, capacity, k=None, costs=None):
         raise ValueError("graph must have at least one node")
     nbrs = _closed_neighbourhoods(g)
     nc = g.node_count
-
-    def x_index(v, i):
-        return v * n + (i - 1)
-
-    def y_index(v, i):
-        return nc * n + v * n + (i - 1)
-
-    def z_index(v):
-        return 2 * nc * n + v
+    layout = IlpModel(
+        kind=kind, capacity=capacity, n=n, node_count=nc, closed_neighbourhoods=nbrs,
+        variables=(), constraints=(), objective=None, k=k, costs=costs,
+    )
+    x_index, y_index, z_index = layout.x_index, layout.y_index, layout.z_index
 
     variables = [f"x_{v}_{i}" for v in range(nc) for i in range(1, n + 1)]
     constraints = _capacity_constraints(n, nc, x_index, capacity, k, costs)
@@ -219,17 +242,11 @@ def _build(g, n, kind, capacity, k=None, costs=None):
                     )
             objective = tuple((z_index(v), 1.0) for v in range(nc))
 
-    return IlpModel(
-        kind=kind,
-        capacity=capacity,
-        n=n,
-        node_count=nc,
-        closed_neighbourhoods=nbrs,
+    return replace(
+        layout,
         variables=tuple(variables),
         constraints=tuple(constraints),
         objective=objective,
-        k=k,
-        costs=costs,
     )
 
 

@@ -7,8 +7,9 @@ shows up as a metric identity violation instead of propagating silently.
 
 import csv
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,23 +22,6 @@ from .solver import SolveLimits, solve
 
 VARIANT_THIN = "SG1"
 VARIANT_DEBRIDGE_THIN = "SG2"
-
-RESULT_COLUMNS = (
-    "graph_id",
-    "n_nodes",
-    "deg_exp",
-    "avg_degree",
-    "variant",
-    "n",
-    "objective",
-    "status",
-    "objective_value",
-    "best_bound",
-    "wall_time_s",
-    "miss_cov",
-    "inc_nodes",
-)
-
 
 @dataclass(frozen=True)
 class CoverageErrors:
@@ -123,45 +107,34 @@ class ResultRecord:
     inc_nodes: int | None
 
     def to_row(self):
-        def opt(x):
-            return "" if x is None else x
-
-        return [
-            self.graph_id,
-            self.n_nodes,
-            self.deg_exp,
-            self.avg_degree,
-            self.variant,
-            self.n,
-            self.objective,
-            self.status,
-            opt(self.objective_value),
-            opt(self.best_bound),
-            self.wall_time_s,
-            opt(self.miss_cov),
-            opt(self.inc_nodes),
-        ]
+        return [_cell(getattr(self, name)) for name in RESULT_COLUMNS]
 
     @classmethod
     def from_row(cls, row):
-        def fnum(s, conv):
-            return None if s == "" else conv(s)
-
         return cls(
-            graph_id=row["graph_id"],
-            n_nodes=int(row["n_nodes"]),
-            deg_exp=float(row["deg_exp"]),
-            avg_degree=float(row["avg_degree"]),
-            variant=row["variant"],
-            n=int(row["n"]),
-            objective=row["objective"],
-            status=row["status"],
-            objective_value=fnum(row["objective_value"], float),
-            best_bound=fnum(row["best_bound"], float),
-            wall_time_s=float(row["wall_time_s"]),
-            miss_cov=fnum(row["miss_cov"], int),
-            inc_nodes=fnum(row["inc_nodes"], int),
+            **{
+                name: None if optional and row[name] == "" else parse(row[name])
+                for name, parse, optional in _RESULT_PARSERS
+            }
         )
+
+
+def _cell(value):
+    """A CSV cell: ``None`` is written as an empty cell."""
+    return "" if value is None else value
+
+
+def _field_parser(annotation):
+    """(parse, optional) for a field annotated ``T`` or ``T | None``."""
+    types = [t for t in typing.get_args(annotation) if t is not type(None)]
+    return (types[0], True) if types else (annotation, False)
+
+
+# results.csv: one column per ResultRecord field, in declaration order
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRecord))
+_RESULT_PARSERS = tuple(
+    (f.name, *_field_parser(f.type)) for f in fields(ResultRecord)
+)
 
 
 def prepare_graph(row: SeedTableRow, variant: str, seed: int, max_attempts: int) -> GeometricGraph:
@@ -301,8 +274,12 @@ def _median_low(values):
     return ordered[(len(ordered) - 1) // 2]
 
 
-def _group_key(rec):
-    return (rec.variant, rec.objective, rec.n, rec.deg_exp, rec.n_nodes)
+GROUP_COLUMNS = ("variant", "objective", "n", "deg_exp", "n_nodes")
+_SPLIT_COLUMNS = (
+    "mean_miss_cov_nonopt", "mean_miss_cov_opt",
+    "mean_inc_nodes_nonopt", "mean_inc_nodes_opt",
+    "n_opt", "n_nonopt",
+)
 
 
 def _solved(records):
@@ -313,47 +290,49 @@ def _solved(records):
     ]
 
 
-def aggregate_median_times(records):
-    """Per group: the lower-middle median of solve wall time."""
+def _grouped(records):
+    """Solved records grouped by GROUP_COLUMNS: sorted (key, records) pairs.
+
+    Within a group, records keep (graph_id, n, objective) order.
+    """
     groups = {}
     for rec in sorted(_solved(records), key=lambda r: (r.graph_id, r.n, r.objective)):
-        groups.setdefault(_group_key(rec), []).append(rec.wall_time_s)
+        key = tuple(getattr(rec, c) for c in GROUP_COLUMNS)
+        groups.setdefault(key, []).append(rec)
+    return sorted(groups.items())
+
+
+def _mean(vals):
+    return sum(vals) / len(vals) if vals else None
+
+
+def aggregate_median_times(records):
+    """Per group: the lower-middle median of solve wall time."""
     return {
-        key: (_median_low(times), len(times)) for key, times in sorted(groups.items())
+        key: (_median_low([r.wall_time_s for r in recs]), len(recs))
+        for key, recs in _grouped(records)
     }
 
 
 def aggregate_mean_inc_nodes(records):
-    groups = {}
-    for rec in sorted(_solved(records), key=lambda r: (r.graph_id, r.n, r.objective)):
-        groups.setdefault(_group_key(rec), []).append(rec.inc_nodes)
     return {
-        key: (sum(vals) / len(vals), len(vals))
-        for key, vals in sorted(groups.items())
+        key: (_mean([r.inc_nodes for r in recs]), len(recs))
+        for key, recs in _grouped(records)
     }
 
 
 def aggregate_optimal_split(records):
     """Table of mean errors split by proven-optimal versus time-limited."""
-    groups = {}
-    for rec in sorted(_solved(records), key=lambda r: (r.graph_id, r.n, r.objective)):
-        groups.setdefault(_group_key(rec), []).append(rec)
     out = {}
-    for key, recs in sorted(groups.items()):
+    for key, recs in _grouped(records):
         opt = [r for r in recs if r.status == "optimal"]
         non = [r for r in recs if r.status != "optimal"]
-
-        def mean(vals):
-            return sum(vals) / len(vals) if vals else None
-
-        out[key] = {
-            "mean_miss_cov_nonopt": mean([r.miss_cov for r in non]),
-            "mean_miss_cov_opt": mean([r.miss_cov for r in opt]),
-            "mean_inc_nodes_nonopt": mean([r.inc_nodes for r in non]),
-            "mean_inc_nodes_opt": mean([r.inc_nodes for r in opt]),
-            "n_opt": len(opt),
-            "n_nonopt": len(non),
-        }
+        values = (
+            _mean([r.miss_cov for r in non]), _mean([r.miss_cov for r in opt]),
+            _mean([r.inc_nodes for r in non]), _mean([r.inc_nodes for r in opt]),
+            len(opt), len(non),
+        )
+        out[key] = dict(zip(_SPLIT_COLUMNS, values))
     return out
 
 
@@ -388,54 +367,35 @@ def aggregate_relative_means(records):
     }
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([_cell(x) for x in row] for row in rows)
+
+
 def write_aggregates(records, out_dir):
-    with open(os.path.join(out_dir, "agg_median_time.csv"), "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            ["variant", "objective", "n", "deg_exp", "n_nodes", "median_wall_time_s", "records"]
-        )
-        for key, (median, count) in aggregate_median_times(records).items():
-            w.writerow(list(key) + [median, count])
-    with open(os.path.join(out_dir, "agg_mean_inc_nodes.csv"), "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            ["variant", "objective", "n", "deg_exp", "n_nodes", "mean_inc_nodes", "records"]
-        )
-        for key, (mean, count) in aggregate_mean_inc_nodes(records).items():
-            w.writerow(list(key) + [mean, count])
-    with open(os.path.join(out_dir, "agg_opt_split.csv"), "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(
-            [
-                "variant", "objective", "n", "deg_exp", "n_nodes",
-                "mean_miss_cov_nonopt", "mean_miss_cov_opt",
-                "mean_inc_nodes_nonopt", "mean_inc_nodes_opt",
-                "n_opt", "n_nonopt",
-            ]
-        )
-        for key, row in aggregate_optimal_split(records).items():
-            w.writerow(
-                list(key)
-                + [
-                    "" if row["mean_miss_cov_nonopt"] is None else row["mean_miss_cov_nonopt"],
-                    "" if row["mean_miss_cov_opt"] is None else row["mean_miss_cov_opt"],
-                    "" if row["mean_inc_nodes_nonopt"] is None else row["mean_inc_nodes_nonopt"],
-                    "" if row["mean_inc_nodes_opt"] is None else row["mean_inc_nodes_opt"],
-                    row["n_opt"],
-                    row["n_nonopt"],
-                ]
-            )
-    rel = aggregate_relative_means(records)
-    with open(os.path.join(out_dir, "agg_relative.csv"), "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["p_miss_cov_percent", "p_inc_nodes_percent", "instances"])
-        w.writerow(
-            [
-                "" if rel["p_miss_cov"] is None else rel["p_miss_cov"],
-                "" if rel["p_inc_nodes"] is None else rel["p_inc_nodes"],
-                rel["instances"],
-            ]
-        )
+    _write_csv(
+        os.path.join(out_dir, "agg_median_time.csv"),
+        GROUP_COLUMNS + ("median_wall_time_s", "records"),
+        [key + value for key, value in aggregate_median_times(records).items()],
+    )
+    _write_csv(
+        os.path.join(out_dir, "agg_mean_inc_nodes.csv"),
+        GROUP_COLUMNS + ("mean_inc_nodes", "records"),
+        [key + value for key, value in aggregate_mean_inc_nodes(records).items()],
+    )
+    split = aggregate_optimal_split(records)
+    _write_csv(
+        os.path.join(out_dir, "agg_opt_split.csv"),
+        GROUP_COLUMNS + _SPLIT_COLUMNS,
+        [key + tuple(row.values()) for key, row in split.items()],
+    )
+    _write_csv(
+        os.path.join(out_dir, "agg_relative.csv"),
+        ("p_miss_cov_percent", "p_inc_nodes_percent", "instances"),
+        [tuple(aggregate_relative_means(records).values())],
+    )
 
 
 def read_results_csv(path) -> list[ResultRecord]:

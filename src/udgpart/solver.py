@@ -27,6 +27,8 @@ from .ilp import (
     KIND_OPTIMAL_SOFT,
     IlpModel,
     PartitionAssignment,
+    _closed_neighbourhoods,
+    portfolio_domain,
 )
 
 STATUS_OPTIMAL = "optimal"
@@ -59,24 +61,6 @@ class SolveReport:
     explored_nodes: int
 
 
-def portfolio_domain(model: IlpModel) -> tuple[frozenset[int], ...]:
-    """Admissible per-node mean portfolios, identical for every node."""
-    means = range(1, model.n + 1)
-    if model.capacity == CAP_EXACTLY_ONE:
-        return tuple(frozenset((i,)) for i in means)
-    if model.capacity == CAP_FIXED_K:
-        return tuple(
-            frozenset(c) for c in itertools.combinations(means, model.k)
-        )
-    out = []
-    for mask in range(1, 2 ** model.n):
-        subset = [i for i in means if mask >> (i - 1) & 1]
-        total = sum(model.costs[i - 1] for i in subset)
-        if abs(total - 1.0) <= 1e-9:
-            out.append(frozenset(subset))
-    return tuple(out)
-
-
 def _assignment_from_rows(domain, row, n):
     return PartitionAssignment(tuple(domain[int(i)] for i in row), n)
 
@@ -89,7 +73,7 @@ def brute_force(model: IlpModel, cap: int = 10_000_000) -> SolveReport:
     space exceeds ``cap``.
     """
     start = time.perf_counter()
-    domain = portfolio_domain(model)
+    domain = portfolio_domain(model.n, model.capacity, model.k, model.costs)
     nc, n = model.node_count, model.n
     if not domain:
         return SolveReport(
@@ -160,10 +144,7 @@ def greedy_incumbent(g: GeometricGraph, n: int) -> PartitionAssignment:
 
     The policy is identical for both soft objectives.
     """
-    nbrs = tuple(
-        tuple(sorted(g.closed_neighbourhood(v))) for v in range(g.node_count)
-    )
-    return _greedy_from_neighbourhoods(nbrs, n)
+    return _greedy_from_neighbourhoods(_closed_neighbourhoods(g), n)
 
 
 def _greedy_from_neighbourhoods(nbrs, n) -> PartitionAssignment:
@@ -348,7 +329,7 @@ def solve(model: IlpModel, limits: SolveLimits = SolveLimits()) -> SolveReport:
     start = time.perf_counter()
     if model.kind not in (KIND_FEASIBILITY, KIND_OPTIMAL_SOFT, KIND_MAXIMAL_SOFT):
         return SolveReport(STATUS_ERROR, None, None, None, 0.0, 0)
-    domain = portfolio_domain(model)
+    domain = portfolio_domain(model.n, model.capacity, model.k, model.costs)
     if not domain:
         return SolveReport(
             STATUS_INFEASIBLE, None, None, None, time.perf_counter() - start, 0
@@ -358,7 +339,7 @@ def solve(model: IlpModel, limits: SolveLimits = SolveLimits()) -> SolveReport:
 
     interrupted = False
     if model.kind != KIND_FEASIBILITY and model.capacity == CAP_EXACTLY_ONE:
-        labels, value, interrupted = _warm_start(model, search.root_bound, deadline)
+        labels, value, interrupted = _warm_start(model, search.contrib, deadline)
         search.incumbent_row = [domain.index(frozenset((i,))) for i in labels]
         search.incumbent_val = value
 
@@ -406,12 +387,12 @@ class _Cover:
     ``cc[v][i]`` counts the nodes of N[v] holding mean i+1 and
     ``distinct[v]`` the means N[v] sees, so relabelling a node is evaluated
     and applied in O(deg) and ``value`` is the model's objective throughout.
-    ``cap[v]`` is the most node v can contribute: min(n, |N[v]|) means, or
-    for the maximal program 1 if |N[v]| >= n and 0 otherwise; their sum is
-    the search's root bound.
+    ``cap[v]`` is the most node v can contribute, the search's root
+    contribution of v (``_Search.contrib`` before branching), so the caps
+    sum to the root bound.
     """
 
-    def __init__(self, model, labels):
+    def __init__(self, model, labels, cap):
         self.n = n = model.n
         self.nbrs = model.closed_neighbourhoods
         self.maximal = model.kind == KIND_MAXIMAL_SOFT
@@ -421,12 +402,8 @@ class _Cover:
             for w in nb:
                 row[self.labels[w] - 1] += 1
         self.distinct = [n - row.count(0) for row in self.cc]
-        if self.maximal:
-            self.cap = [1 if len(nb) >= n else 0 for nb in self.nbrs]
-            self.value = self.distinct.count(n)
-        else:
-            self.cap = [min(n, len(nb)) for nb in self.nbrs]
-            self.value = sum(self.distinct)
+        self.cap = cap
+        self.value = self.distinct.count(n) if self.maximal else sum(self.distinct)
 
     def deficient(self, v):
         """Whether node v contributes less than its cap."""
@@ -466,8 +443,10 @@ class _Cover:
         self.value += delta
 
 
-def _warm_start(model, target, deadline):
-    """Greedy labelling, delta polish, then tabu search up to ``target``.
+def _warm_start(model, cap, deadline):
+    """Greedy labelling, delta polish, then tabu search up to the root bound.
+
+    ``cap`` holds the per-node root contributions (see :class:`_Cover`).
 
     Returns the best labels, their objective and whether the clock cut the
     work short.  Everything but the cut is decided by the model alone: the
@@ -475,11 +454,11 @@ def _warm_start(model, target, deadline):
     a fixed number of moves that do not improve on the best labelling.
     """
     greedy = _greedy_from_neighbourhoods(model.closed_neighbourhoods, model.n)
-    cover = _Cover(model, greedy.labels())
+    cover = _Cover(model, greedy.labels(), cap)
     if not _polish(cover, deadline):
         return cover.labels, cover.value, True
     rng = random.Random(model.node_count * 7919 + model.n)
-    return _tabu(cover, target, deadline, rng, 100 * model.node_count)
+    return _tabu(cover, deadline, rng, 100 * model.node_count)
 
 
 def _polish(cover, deadline, max_rounds=20):
@@ -504,19 +483,20 @@ def _polish(cover, deadline, max_rounds=20):
     return True
 
 
-def _tabu(cover, target, deadline, rng, patience):
+def _tabu(cover, deadline, rng, patience):
     """Tabu search over single relabellings that repair deficient nodes.
 
     Each step picks a node below its cap at random and applies the best
     move that hands one of its missing means to a node of its closed
     neighbourhood, ties broken at random.  A moved node stays fixed for a
     few steps unless moving it again beats the best labelling seen.  Stops
-    at ``target``, after ``patience`` steps without a new best, or at the
-    deadline.  Returns the best labels, their objective and whether the
-    deadline was the reason to stop.
+    at the sum of the caps (the root bound), after ``patience`` steps
+    without a new best, or at the deadline.  Returns the best labels, their
+    objective and whether the deadline was the reason to stop.
     """
     n, nbrs, cc = cover.n, cover.nbrs, cover.cc
     nc = len(cover.labels)
+    target = sum(cover.cap)
     deficient = [v for v in range(nc) if cover.deficient(v)]
     slot = [-1] * nc
     for k, v in enumerate(deficient):

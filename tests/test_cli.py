@@ -193,6 +193,40 @@ class TestCheck:
         code, summary = run_cli(capsys, "check", "--graph", src, "--report", str(report))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "capacity",
+        [
+            {"mode": "cost"},
+            {"mode": "cost", "costs": [0.5, 0.5]},
+            None,
+            {"mode": "all-of-them"},
+            {"mode": "fixed-k", "k": "1"},
+        ],
+        ids=["cost-without-costs", "too-few-costs", "null", "unknown-mode", "string-k"],
+    )
+    def test_malformed_capacity_is_usage_error(self, tmp_path, capsys, capacity):
+        src, report = self._partition_report(tmp_path, capsys, complete_graph(3))
+        doc = json.loads(report.read_text())
+        doc["capacity"] = capacity
+        if capacity == {"mode": "all-of-them"}:
+            doc["assignment"] = {str(v): [1, 2, 3] for v in range(3)}
+        report.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--graph", src, "--report", str(report)])
+        assert exc.value.code == 2
+
+    def test_cost_portfolio_report_checks_valid(self, tmp_path, capsys):
+        src = write_graph(tmp_path / "g.json", complete_graph(3))
+        report = tmp_path / "r.json"
+        run_cli(
+            capsys,
+            "partition", "--graph", src, "--n", "3", "--objective", "maximal",
+            "--costs", "0.5,0.5,1.0", "--out", str(report),
+        )
+        code, summary = run_cli(capsys, "check", "--graph", src, "--report", str(report))
+        assert code == 0
+        assert summary == {"valid": True, "problems": []}
+
 
 class TestExportLp:
     def test_file_written_and_stable(self, tmp_path, capsys):
@@ -262,6 +296,23 @@ class TestExperiment:
         )
         assert code == 0
         assert summary["records"] == 1
+
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            [1],
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "partition_sizes": 3},
+            {"rows": [{"deg_exp": 4, "lambda": 0.12, "r_tr": 0.30}]},
+        ],
+        ids=["non-object", "scalar-partition-sizes", "lambda-row-without-n_nodes"],
+    )
+    def test_malformed_config_is_usage_error(self, tmp_path, config):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
 
 
 class TestUsageErrors:

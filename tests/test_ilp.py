@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from udgpart.ilp import (
@@ -10,6 +12,8 @@ from udgpart.ilp import (
     build_soft_variant,
     export_lp,
 )
+from udgpart.metrics import prepare_graph
+from udgpart.seeds import degree_seed
 
 from test_graphs import complete_graph, cycle_graph, graph_from_edges, star_graph
 
@@ -193,3 +197,48 @@ class TestLpExport:
         m = build_cost_based(graph_from_edges(2, [(0, 1)]), 2, (0.5, 1.0))
         text = export_lp(m)
         assert "0.5 x_0_1 + x_0_2 = 1" in text
+
+
+def _golden_graph():
+    return prepare_graph(degree_seed(40, 4), "SG1", 7, 100)
+
+
+# SHA-256 of export_lp for seven programs on _golden_graph(): the LP text is
+# byte-stable, so a change here must be a deliberate change of the format
+GOLDEN_LP_SHA256 = {
+    "feasibility": (
+        "3d0ce19455d3958e53822783631f28702785603bd18de37931a9a0b0fe6c9030",
+        lambda g: build_domatic_feasibility(g, 3),
+    ),
+    "fixed-k": (
+        "e66803f53a7d8508e596586980c1a393d295e498311478d0f95acac26cfd17ca",
+        lambda g: build_fixed_k(g, 3, 2),
+    ),
+    "cost": (
+        "e5eba1c8ecf89870453824ec4b8313b2178dff56e19fb3f499a1afc7d91e14e9",
+        lambda g: build_cost_based(g, 3, (0.5, 0.5, 1.0)),
+    ),
+    "optimal-soft": (
+        "ffd29dcd86075496586a99346bea1f5e446dadd886f505ac391071af40e68264",
+        lambda g: build_optimal_soft(g, 4),
+    ),
+    "maximal-soft": (
+        "56d374555980c280b19d2d57ff82fb10c3d25b36e3df98c1b5057c7f74944589",
+        lambda g: build_maximal_soft(g, 4),
+    ),
+    "optimal-soft-fixed-k": (
+        "180f126e4ce16c0af50c6f1d27bea3a5374a54827c876f480d69e6352188c981",
+        lambda g: build_soft_variant(g, 4, "optimal", k=2),
+    ),
+    "maximal-soft-cost": (
+        "e5ade2e45ff15cca3748e741ca3e4e9b98cd1073a647896994e1d27caa47802e",
+        lambda g: build_soft_variant(g, 4, "maximal", costs=(0.25, 0.75, 0.5, 0.5)),
+    ),
+}
+
+
+@pytest.mark.parametrize("program", sorted(GOLDEN_LP_SHA256))
+def test_lp_export_matches_recorded_hash(program):
+    digest, build = GOLDEN_LP_SHA256[program]
+    text = export_lp(build(_golden_graph()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,10 +1,15 @@
+import csv
+import hashlib
+import io
 import random
 
 import pytest
 
 from udgpart.ilp import PartitionAssignment, build_maximal_soft, build_optimal_soft
 from udgpart.metrics import (
+    RESULT_COLUMNS,
     ExperimentConfig,
+    ResultRecord,
     aggregate_mean_inc_nodes,
     aggregate_median_times,
     aggregate_optimal_split,
@@ -13,6 +18,7 @@ from udgpart.metrics import (
     error_bounds,
     read_results_csv,
     run_experiment,
+    write_aggregates,
 )
 from udgpart.seeds import SeedTableRow, degree_seed
 from udgpart.solver import SolveLimits, solve
@@ -267,3 +273,106 @@ class TestExperiment:
             for r in par
         }
         assert seq_core == par_core
+
+
+def golden_records():
+    """Fixed synthetic records covering every status and empty-cell case.
+
+    Holds one ``skipped`` record, one time-limited record without an
+    assignment, solved records of both statuses, integer and fractional
+    expected degrees, and wall times that are not whole numbers.
+    """
+    rng = random.Random(4711)
+    records = []
+    for g_idx in range(12):
+        variant = ("SG1", "SG2")[g_idx % 2]
+        n_nodes, deg_exp = ((20, 4), (40, 5), (20, 4.5))[g_idx % 3]
+        graph_id = f"{variant}-{n_nodes}-{deg_exp:g}-{g_idx:03d}"
+        avg_degree = deg_exp - rng.random() / 4
+        for n in (3, 4):
+            for objective in ("optimal", "maximal"):
+                worst = n_nodes * n if objective == "optimal" else n_nodes
+                value = worst - rng.randrange(0, 4)
+                optimal = rng.random() < 0.7
+                bound = value if optimal else value + rng.randrange(1, 3)
+                miss = n_nodes * n - value if objective == "optimal" else rng.randrange(0, 9)
+                inc = n_nodes - value if objective == "maximal" else rng.randrange(0, 5)
+                records.append(
+                    ResultRecord(
+                        graph_id=graph_id,
+                        n_nodes=n_nodes,
+                        deg_exp=deg_exp,
+                        avg_degree=avg_degree,
+                        variant=variant,
+                        n=n,
+                        objective=objective,
+                        status="optimal" if optimal else "feasible-time-limit",
+                        objective_value=float(value),
+                        best_bound=float(bound),
+                        wall_time_s=rng.uniform(0.0, 3.0),
+                        miss_cov=miss,
+                        inc_nodes=inc,
+                    )
+                )
+    records.append(
+        ResultRecord(
+            graph_id="SG1-40-5-012", n_nodes=40, deg_exp=5, avg_degree=5.125,
+            variant="SG1", n=4, objective="maximal", status="feasible-time-limit",
+            objective_value=None, best_bound=40.0, wall_time_s=1.5,
+            miss_cov=None, inc_nodes=None,
+        )
+    )
+    records.append(
+        ResultRecord(
+            graph_id="SG2-20-4-013", n_nodes=20, deg_exp=4, avg_degree=0.0,
+            variant="SG2", n=0, objective="", status="skipped",
+            objective_value=None, best_bound=None, wall_time_s=0.0,
+            miss_cov=None, inc_nodes=None,
+        )
+    )
+    return records
+
+
+# SHA-256 of each output file for golden_records(): results.csv and the
+# aggregates are byte-stable, so a change here must change the format on purpose
+GOLDEN_OUTPUT_SHA256 = {
+    "results.csv": (
+        "2f796ab1a286043ee38fda72f5cdb5b78c725ba3e531f203a6be56e236ad09b5"
+    ),
+    "agg_median_time.csv": (
+        "cd6185508ba2d694133f5b149c66422bf0607973cafd09aa219bb8d317c49e09"
+    ),
+    "agg_mean_inc_nodes.csv": (
+        "ab32983d9580eab81c5b7388231380681e98b3a1c632c28b9610c533b9ad8aa8"
+    ),
+    "agg_opt_split.csv": (
+        "5be066f4456ab1120149b555dbc2dcc467d3dde2a07c1710762e2952be13f01a"
+    ),
+    "agg_relative.csv": (
+        "127d3c80e48b39c08471da5c329a7e9efb04e6c5fa6a47bdb01f192811bb0158"
+    ),
+}
+
+
+class TestGoldenOutputs:
+    def _write(self, out_dir):
+        records = golden_records()
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(RESULT_COLUMNS)
+        writer.writerows(r.to_row() for r in records)
+        (out_dir / "results.csv").write_text(buf.getvalue())
+        write_aggregates(records, str(out_dir))
+        return records
+
+    def test_files_match_recorded_hashes(self, tmp_path):
+        self._write(tmp_path)
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GOLDEN_OUTPUT_SHA256
+        }
+        assert digests == GOLDEN_OUTPUT_SHA256
+
+    def test_results_csv_round_trips(self, tmp_path):
+        records = self._write(tmp_path)
+        assert read_results_csv(tmp_path / "results.csv") == records

@@ -11,6 +11,7 @@ from udgpart.ilp import (
     build_maximal_soft,
     build_optimal_soft,
     build_soft_variant,
+    portfolio_domain,
 )
 from udgpart.metrics import prepare_graph
 from udgpart.seeds import degree_seed
@@ -23,7 +24,6 @@ from udgpart.solver import (
     _tabu,
     brute_force,
     greedy_incumbent,
-    portfolio_domain,
     solve,
 )
 
@@ -32,10 +32,19 @@ from test_graphs import complete_graph, cycle_graph, graph_from_edges, star_grap
 P2 = graph_from_edges(2, [(0, 1)])
 
 
+def domain_of(m):
+    return portfolio_domain(m.n, m.capacity, m.k, m.costs)
+
+
+def root_caps(m):
+    """Per-node root contributions of the search, the warm start's caps."""
+    return _Search(m, domain_of(m), SolveLimits()).contrib
+
+
 class TestPortfolioDomain:
     def test_exactly_one(self):
         m = build_optimal_soft(P2, 3)
-        assert portfolio_domain(m) == (
+        assert domain_of(m) == (
             frozenset((1,)),
             frozenset((2,)),
             frozenset((3,)),
@@ -43,7 +52,7 @@ class TestPortfolioDomain:
 
     def test_fixed_k_combinations(self):
         m = build_fixed_k(complete_graph(3), 3, 2)
-        assert set(portfolio_domain(m)) == {
+        assert set(domain_of(m)) == {
             frozenset((1, 2)),
             frozenset((1, 3)),
             frozenset((2, 3)),
@@ -51,11 +60,11 @@ class TestPortfolioDomain:
 
     def test_cost_subset_sums(self):
         m = build_cost_based(P2, 3, (0.5, 0.5, 1.0))
-        assert set(portfolio_domain(m)) == {frozenset((1, 2)), frozenset((3,))}
+        assert set(domain_of(m)) == {frozenset((1, 2)), frozenset((3,))}
 
     def test_cost_no_subset(self):
         m = build_cost_based(P2, 3, (0.6, 0.7, 0.9))
-        assert portfolio_domain(m) == ()
+        assert domain_of(m) == ()
 
 
 class TestBruteForce:
@@ -246,8 +255,8 @@ class TestSolve:
 class _CheckedCover(_Cover):
     """Cover whose every applied move is recounted from scratch."""
 
-    def __init__(self, model, labels):
-        super().__init__(model, labels)
+    def __init__(self, model, labels, cap):
+        super().__init__(model, labels, cap)
         self.model = model
         self.moves = 0
 
@@ -272,14 +281,15 @@ class TestCoverDeltas:
             for build in (build_optimal_soft, build_maximal_soft):
                 for n in (3, 4, 5):
                     m = build(g, n)
-                    cover = _CheckedCover(m, [1] * g.node_count)
+                    caps = root_caps(m)
+                    target = sum(caps)
+                    cover = _CheckedCover(m, [1] * g.node_count, caps)
                     assert cover.value == _recount(m, cover.labels)
                     assert _polish(cover, float("inf"))
                     polish_moves += cover.moves
                     cover.moves = 0
-                    target = _Search(m, portfolio_domain(m), SolveLimits()).root_bound
                     labels, best, cut = _tabu(
-                        cover, target, float("inf"), random.Random(trial), 20 * g.node_count
+                        cover, float("inf"), random.Random(trial), 20 * g.node_count
                     )
                     assert not cut
                     assert best == _recount(m, labels) <= target
@@ -293,7 +303,8 @@ class TestCoverDeltas:
             for build in (build_optimal_soft, build_maximal_soft):
                 for n in (3, 4, 5):
                     m = build(g, n)
-                    cover = _Cover(m, [rng.randint(1, n) for _ in range(g.node_count)])
+                    start = [rng.randint(1, n) for _ in range(g.node_count)]
+                    cover = _Cover(m, start, root_caps(m))
                     for _ in range(40):
                         u, mean = rng.randrange(g.node_count), rng.randint(1, n)
                         d = cover.delta(u, mean)
