@@ -359,6 +359,34 @@ def _report_domain(doc, n, parser, path):
         parser.error(f"report {path}: {exc}")
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _report_assignment(doc, g, n, parser, path):
+    """The report's assignment, None if it carries none; a malformed one exits 2.
+
+    A well-formed assignment that misses a node, gives one no mean or names
+    a mean outside 1..n is returned as the problem it is, not an error.
+    """
+    raw = doc.get("assignment")
+    if raw is None:
+        return None, "report carries no assignment"
+    if not isinstance(raw, dict) or not all(
+        isinstance(means, list) and all(_is_int(i) for i in means)
+        for means in raw.values()
+    ):
+        parser.error(
+            f"report {path}: assignment must map node ids to lists of integer means"
+        )
+    try:
+        return PartitionAssignment(
+            tuple(frozenset(raw[str(v)]) for v in range(g.node_count)), n
+        ), None
+    except (KeyError, ValueError) as exc:
+        return None, f"assignment invalid: {exc}"
+
+
 def _cmd_check(args, parser):
     g = _load_graph(args.graph, parser)
     try:
@@ -367,50 +395,41 @@ def _cmd_check(args, parser):
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read report {args.report}: {exc}")
     n = doc.get("n") if isinstance(doc, dict) else None
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         parser.error(f"report {args.report} carries no positive integer \"n\"")
     domain = _report_domain(doc, n, parser, args.report)
-    problems = []
-    raw_assign = doc.get("assignment")
-    if raw_assign is None:
-        problems.append("report carries no assignment")
-    else:
-        try:
-            assignment = PartitionAssignment(
-                tuple(
-                    frozenset(raw_assign[str(v)]) for v in range(g.node_count)
-                ),
-                n,
+    claimed = doc.get("errors") or {}
+    if not isinstance(claimed, dict):
+        parser.error(f"report {args.report}: errors must be an object, got {claimed!r}")
+    obj = doc.get("objective_value")
+    if obj is not None and (isinstance(obj, bool) or not isinstance(obj, (int, float))):
+        parser.error(f"report {args.report}: objective_value must be a number, got {obj!r}")
+    assignment, problem = _report_assignment(doc, g, n, parser, args.report)
+    problems = [problem] if problem else []
+    if assignment is not None:
+        for v, means in enumerate(assignment.assign):
+            if means not in domain:
+                problems.append(
+                    f"node {v} holds {sorted(means)}, not a portfolio its capacity admits"
+                )
+        errors = coverage_errors(g, assignment, n)
+        if claimed.get("miss_cov") != errors.miss_cov:
+            problems.append(
+                f"miss_cov mismatch: report {claimed.get('miss_cov')}, "
+                f"recomputed {errors.miss_cov}"
             )
-        except (KeyError, ValueError) as exc:
-            problems.append(f"assignment invalid: {exc}")
-            assignment = None
-        if assignment is not None:
-            for v, means in enumerate(assignment.assign):
-                if means not in domain:
-                    problems.append(
-                        f"node {v} holds {sorted(means)}, not a portfolio its capacity admits"
-                    )
-            errors = coverage_errors(g, assignment, n)
-            claimed = doc.get("errors") or {}
-            if claimed.get("miss_cov") != errors.miss_cov:
-                problems.append(
-                    f"miss_cov mismatch: report {claimed.get('miss_cov')}, "
-                    f"recomputed {errors.miss_cov}"
-                )
-            if claimed.get("inc_nodes") != errors.inc_nodes:
-                problems.append(
-                    f"inc_nodes mismatch: report {claimed.get('inc_nodes')}, "
-                    f"recomputed {errors.inc_nodes}"
-                )
-            if doc.get("status") == "optimal" and doc.get("objective_value") is not None:
-                obj = doc["objective_value"]
-                if doc.get("kind") == "optimal-soft":
-                    if g.node_count * n - obj != errors.miss_cov:
-                        problems.append("objective does not match recomputed miss_cov")
-                elif doc.get("kind") == "maximal-soft":
-                    if g.node_count - obj != errors.inc_nodes:
-                        problems.append("objective does not match recomputed inc_nodes")
+        if claimed.get("inc_nodes") != errors.inc_nodes:
+            problems.append(
+                f"inc_nodes mismatch: report {claimed.get('inc_nodes')}, "
+                f"recomputed {errors.inc_nodes}"
+            )
+        if doc.get("status") == "optimal" and obj is not None:
+            if doc.get("kind") == "optimal-soft":
+                if g.node_count * n - obj != errors.miss_cov:
+                    problems.append("objective does not match recomputed miss_cov")
+            elif doc.get("kind") == "maximal-soft":
+                if g.node_count - obj != errors.inc_nodes:
+                    problems.append("objective does not match recomputed inc_nodes")
     _emit({"valid": not problems, "problems": problems})
     return EXIT_OK if not problems else EXIT_DOMAIN
 

@@ -318,25 +318,48 @@ class GeometricGraph:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "GeometricGraph":
-        positions = tuple((float(x), float(y)) for x, y in doc["nodes"])
-        edges = []
-        tags = []
-        for entry in doc["edges"]:
-            u, v = int(entry[0]), int(entry[1])
-            edges.append((u, v))
-            tags.append(str(entry[2]) if len(entry) > 2 else TAG_UDG)
+        """Graph from its JSON document; a malformed document raises ValueError.
+
+        Node entries must be (x, y) pairs inside [0,1)^2 and edge entries
+        must name both endpoints.  These checks take O(|V| + |E|); the
+        O(|V|^2) pairwise lambda check of :func:`build_udg` is not repeated.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError("graph document is not a JSON object")
+        try:
+            positions = tuple(_json_point(entry) for entry in doc["nodes"])
+            edges = []
+            tags = []
+            for entry in doc["edges"]:
+                if not isinstance(entry, list) or len(entry) < 2:
+                    raise ValueError(f"edge entry {entry!r} does not name two nodes")
+                edges.append((int(entry[0]), int(entry[1])))
+                tags.append(str(entry[2]) if len(entry) > 2 else TAG_UDG)
+            r_tr = float(doc["r_tr"])
+            lam = float(doc.get("lambda", 0.0))
+        except TypeError as exc:
+            raise ValueError(f"malformed graph document: {exc}") from None
         order = sorted(range(len(edges)), key=lambda k: edges[k])
         return cls(
             positions=positions,
             edges=tuple(edges[k] for k in order),
-            r_tr=float(doc["r_tr"]),
-            lam=float(doc.get("lambda", 0.0)),
+            r_tr=r_tr,
+            lam=lam,
             edge_tags=tuple(tags[k] for k in order),
         )
 
     @classmethod
     def from_json(cls, text: str) -> "GeometricGraph":
         return cls.from_json_dict(json.loads(text))
+
+
+def _json_point(entry) -> Point:
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise ValueError(f"node entry {entry!r} is not an (x, y) pair")
+    x, y = float(entry[0]), float(entry[1])
+    if not (0.0 <= x < 1.0 and 0.0 <= y < 1.0):
+        raise ValueError(f"point ({x}, {y}) outside the unit square")
+    return x, y
 
 
 def build_udg(positions, r_tr: float, lam: float = 0.0) -> GeometricGraph:

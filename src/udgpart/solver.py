@@ -6,9 +6,11 @@ subset), and coverage auxiliaries follow from the picks.  The oracle
 enumerates whole assignments; the branch-and-bound search fixes nodes one at
 a time and prunes with a combinatorial per-node coverage cap that is exact on
 leaves, so its bound never undercuts a completion of the current partial
-assignment.  Soft one-mean-per-node programs start the search from a greedy
-labelling improved by local search on incrementally kept cover counts; when
-that incumbent meets the root bound, it is optimal without any branching.
+assignment.  Every program starts from one warm start: a greedy portfolio
+labelling improved by local search on incrementally kept cover counts, with
+feasibility programs scored as maximal-soft.  When that labelling meets the
+root bound it is optimal (for a feasibility program: satisfying) without any
+branching; otherwise the search runs with the time that is left.
 """
 
 import itertools
@@ -144,20 +146,36 @@ def greedy_incumbent(g: GeometricGraph, n: int) -> PartitionAssignment:
 
     The policy is identical for both soft objectives.
     """
-    return _greedy_from_neighbourhoods(_closed_neighbourhoods(g), n)
+    domain = portfolio_domain(n, CAP_EXACTLY_ONE)
+    labels = _greedy(_closed_neighbourhoods(g), domain, n)
+    return PartitionAssignment(tuple(domain[p] for p in labels), n)
 
 
-def _greedy_from_neighbourhoods(nbrs, n) -> PartitionAssignment:
-    nc = len(nbrs)
-    order = sorted(range(nc), key=lambda v: (-len(nbrs[v]), v))
-    label = [0] * nc
+def _mean_indices(domain):
+    """Each portfolio's means as sorted 0-based indices."""
+    return [tuple(i - 1 for i in sorted(p)) for p in domain]
+
+
+def _greedy(nbrs, domain, n):
+    """Portfolio indices, highest degree first, locally rarest means first.
+
+    Each node takes the portfolio whose means its labelled closed
+    neighbourhood holds least often (sum of counts, then portfolio index).
+    """
+    means = _mean_indices(domain)
+    order = sorted(range(len(nbrs)), key=lambda v: (-len(nbrs[v]), v))
+    label = [-1] * len(nbrs)
     for v in order:
-        counts = [0] * (n + 1)
+        counts = [0] * n
         for w in nbrs[v]:
-            if label[w]:
-                counts[label[w]] += 1
-        label[v] = min(range(1, n + 1), key=lambda i: (counts[i], i))
-    return PartitionAssignment.from_labels(label, n)
+            if label[w] >= 0:
+                for i in means[label[w]]:
+                    counts[i] += 1
+        label[v] = min(
+            range(len(means)),
+            key=lambda p: (sum(counts[i] for i in means[p]), p),
+        )
+    return label
 
 
 class _Search:
@@ -216,11 +234,6 @@ class _Search:
                 fixed_adj[w] += 1
         return out
 
-    # target value a feasibility search must reach to be satisfiable
-    @property
-    def feasibility_target(self):
-        return self.nc
-
     def _node_contrib(self, v):
         u = self.unfixed_cnt[v]
         cc = self.cover_cnt[v]
@@ -270,7 +283,6 @@ class _Search:
     def run(self, time_budget):
         self.deadline = time.perf_counter() + time_budget
         kind = self.model.kind
-        target = self.feasibility_target if kind == KIND_FEASIBILITY else None
         # permuting mean labels maps solutions to solutions unless costs
         # break the symmetry, so the first branched node needs one child only
         first_domain = (
@@ -301,7 +313,7 @@ class _Search:
                 self.fixed[v] = idx
                 self._apply(v, portfolio, +1)
                 if kind == KIND_FEASIBILITY:
-                    keep = self.bound >= target
+                    keep = self.bound >= self.nc
                 else:
                     keep = (
                         self.incumbent_val is None
@@ -336,16 +348,26 @@ def solve(model: IlpModel, limits: SolveLimits = SolveLimits()) -> SolveReport:
         )
     deadline = start + limits.time_limit
     search = _Search(model, domain, limits)
+    feasibility = model.kind == KIND_FEASIBILITY
 
-    interrupted = False
-    if model.kind != KIND_FEASIBILITY and model.capacity == CAP_EXACTLY_ONE:
-        labels, value, interrupted = _warm_start(model, search.contrib, deadline)
-        search.incumbent_row = [domain.index(frozenset((i,))) for i in labels]
-        search.incumbent_val = value
+    # a feasibility program whose root bound is below |V| goes straight to
+    # the search, which refutes it at the first node
+    interrupted = solved = False
+    if not feasibility or search.root_bound == search.nc:
+        labels, value, interrupted = _warm_start(
+            model, domain, search.contrib, deadline
+        )
+        # a warm start at the root bound is optimal (for a feasibility
+        # program: satisfies every constraint); one cut by the clock
+        # otherwise ends the solve, so the clock never decides what a
+        # proven result looks like
+        solved = value == search.root_bound
+        interrupted = interrupted and not solved
+        if solved or not feasibility:
+            search.incumbent_row = labels
+            search.incumbent_val = 0.0 if feasibility else value
 
-    # a warm start at the root bound is optimal; one cut by the clock ends
-    # the solve, so the clock never decides what a proven result looks like
-    if not interrupted and search.incumbent_val != search.root_bound:
+    if not interrupted and not solved:
         search.run(max(deadline - time.perf_counter(), 1e-3))
         interrupted = search.timed_out or search.node_limited
     wall = time.perf_counter() - start
@@ -381,26 +403,44 @@ def solve(model: IlpModel, limits: SolveLimits = SolveLimits()) -> SolveReport:
     )
 
 
-class _Cover:
-    """Cover counts of a complete one-mean-per-node labelling of a soft model.
+def _diff(a, b):
+    return tuple(i for i in a if i not in b), tuple(i for i in b if i not in a)
 
+
+class _Cover:
+    """Cover counts of a complete one-portfolio-per-node labelling.
+
+    ``labels[u]`` is node u's index into the portfolio domain,
     ``cc[v][i]`` counts the nodes of N[v] holding mean i+1 and
     ``distinct[v]`` the means N[v] sees, so relabelling a node is evaluated
-    and applied in O(deg) and ``value`` is the model's objective throughout.
-    ``cap[v]`` is the most node v can contribute, the search's root
-    contribution of v (``_Search.contrib`` before branching), so the caps
-    sum to the root bound.
+    and applied in O(deg) per changed mean.  ``value`` is the model's soft
+    objective throughout; a feasibility program is scored as maximal-soft,
+    so a value of |V| means every cover constraint holds.  ``cap[v]`` is
+    the most node v can contribute, the search's root contribution of v
+    (``_Search.contrib`` before branching), so the caps sum to the root
+    bound.
     """
 
-    def __init__(self, model, labels, cap):
+    def __init__(self, model, domain, labels, cap):
         self.n = n = model.n
         self.nbrs = model.closed_neighbourhoods
-        self.maximal = model.kind == KIND_MAXIMAL_SOFT
+        self.maximal = model.kind != KIND_OPTIMAL_SOFT
+        self.means = means = _mean_indices(domain)
+        # (lost means, gained means) of relabelling portfolio a with b, and
+        # the lost and the gained mean if that is a one-for-one swap (every
+        # exactly-one move), (-1, -1) otherwise
+        self.diff = [[_diff(a, b) for b in means] for a in means]
+        self.swap = [
+            [(lost[0], gained[0]) if len(lost) == len(gained) == 1 else (-1, -1)
+             for lost, gained in row]
+            for row in self.diff
+        ]
         self.labels = list(labels)
         self.cc = [[0] * n for _ in self.nbrs]
         for row, nb in zip(self.cc, self.nbrs):
             for w in nb:
-                row[self.labels[w] - 1] += 1
+                for i in means[self.labels[w]]:
+                    row[i] += 1
         self.distinct = [n - row.count(0) for row in self.cc]
         self.cap = cap
         self.value = self.distinct.count(n) if self.maximal else sum(self.distinct)
@@ -411,50 +451,64 @@ class _Cover:
             return self.cap[v] == 1 and self.distinct[v] < self.n
         return self.distinct[v] < self.cap[v]
 
-    def delta(self, u, mean):
-        """Objective change of relabelling node u with ``mean``."""
-        a, b = self.labels[u] - 1, mean - 1
-        if a == b:
+    def delta(self, u, p):
+        """Objective change of relabelling node u with portfolio ``p``."""
+        a = self.labels[u]
+        if a == p:
             return 0
-        n, cc, distinct = self.n, self.cc, self.distinct
+        x, y = self.swap[a][p]
+        n, cc, distinct, maximal = self.n, self.cc, self.distinct, self.maximal
         d = 0
+        if x < 0:
+            lost, gained = self.diff[a][p]
+            for w in self.nbrs[u]:
+                row = cc[w]
+                change = sum(row[j] == 0 for j in gained) - sum(row[i] == 1 for i in lost)
+                if not maximal:
+                    d += change
+                elif change:
+                    d += (distinct[w] + change == n) - (distinct[w] == n)
+            return d
         for w in self.nbrs[u]:
             row = cc[w]
-            change = (row[b] == 0) - (row[a] == 1)
-            if not self.maximal:
+            change = (row[y] == 0) - (row[x] == 1)
+            if not maximal:
                 d += change
             elif change:
                 d += (distinct[w] + change == n) - (distinct[w] == n)
         return d
 
-    def move(self, u, mean, delta):
-        """Relabel node u with ``mean``; ``delta`` is ``self.delta(u, mean)``."""
-        a, b = self.labels[u] - 1, mean - 1
+    def move(self, u, p, delta):
+        """Relabel node u with portfolio ``p``; ``delta`` is ``self.delta(u, p)``."""
+        lost, gained = self.diff[self.labels[u]][p]
         cc, distinct = self.cc, self.distinct
         for w in self.nbrs[u]:
             row = cc[w]
-            row[a] -= 1
-            if row[a] == 0:
-                distinct[w] -= 1
-            if row[b] == 0:
-                distinct[w] += 1
-            row[b] += 1
-        self.labels[u] = mean
+            for x in lost:
+                row[x] -= 1
+                if row[x] == 0:
+                    distinct[w] -= 1
+            for y in gained:
+                if row[y] == 0:
+                    distinct[w] += 1
+                row[y] += 1
+        self.labels[u] = p
         self.value += delta
 
 
-def _warm_start(model, cap, deadline):
+def _warm_start(model, domain, cap, deadline):
     """Greedy labelling, delta polish, then tabu search up to the root bound.
 
     ``cap`` holds the per-node root contributions (see :class:`_Cover`).
 
-    Returns the best labels, their objective and whether the clock cut the
-    work short.  Everything but the cut is decided by the model alone: the
-    tabu phase draws from an RNG seeded by the model's size and stops after
-    a fixed number of moves that do not improve on the best labelling.
+    Returns the best portfolio indices, their objective and whether the
+    clock cut the work short.  Everything but the cut is decided by the
+    model alone: the tabu phase draws from an RNG seeded by the model's size
+    and stops after a fixed number of moves that do not improve on the best
+    labelling.
     """
-    greedy = _greedy_from_neighbourhoods(model.closed_neighbourhoods, model.n)
-    cover = _Cover(model, greedy.labels(), cap)
+    labels = _greedy(model.closed_neighbourhoods, domain, model.n)
+    cover = _Cover(model, domain, labels, cap)
     if not _polish(cover, deadline):
         return cover.labels, cover.value, True
     rng = random.Random(model.node_count * 7919 + model.n)
@@ -462,21 +516,22 @@ def _warm_start(model, cap, deadline):
 
 
 def _polish(cover, deadline, max_rounds=20):
-    """Single-node label moves until no move improves the soft objective.
+    """Single-node relabellings until no move improves the objective.
 
-    Moves are tried node by node, mean by mean, and the first improving one
-    is kept.  Returns False when the deadline passed first.
+    Moves are tried node by node, portfolio by portfolio in domain order,
+    and the first improving one is kept.  Returns False when the deadline
+    passed first.
     """
-    n = cover.n
+    portfolios = range(len(cover.means))
     for _ in range(max_rounds):
         improved = False
         for v in range(len(cover.labels)):
             if time.perf_counter() >= deadline:
                 return False
-            for i in range(1, n + 1):
-                d = cover.delta(v, i)
+            for p in portfolios:
+                d = cover.delta(v, p)
                 if d > 0:
-                    cover.move(v, i, d)
+                    cover.move(v, p, d)
                     improved = True
         if not improved:
             break
@@ -487,14 +542,17 @@ def _tabu(cover, deadline, rng, patience):
     """Tabu search over single relabellings that repair deficient nodes.
 
     Each step picks a node below its cap at random and applies the best
-    move that hands one of its missing means to a node of its closed
-    neighbourhood, ties broken at random.  A moved node stays fixed for a
-    few steps unless moving it again beats the best labelling seen.  Stops
-    at the sum of the caps (the root bound), after ``patience`` steps
-    without a new best, or at the deadline.  Returns the best labels, their
-    objective and whether the deadline was the reason to stop.
+    move that gives a node of its closed neighbourhood a portfolio holding
+    one of its missing means (portfolios in domain order), ties broken at
+    random.  A moved node stays fixed for a few steps unless moving it again
+    beats the best labelling seen.  Stops at the sum of the caps (the root
+    bound), after ``patience`` steps without a new best, or at the deadline.
+    Returns the best labels, their objective and whether the deadline was
+    the reason to stop.
     """
     n, nbrs, cc = cover.n, cover.nbrs, cover.cc
+    # candidate portfolios per set of missing means, filled as met
+    holding = {}
     nc = len(cover.labels)
     target = sum(cover.cap)
     deficient = [v for v in range(nc) if cover.deficient(v)]
@@ -510,21 +568,27 @@ def _tabu(cover, deadline, rng, patience):
         step += 1
         stall += 1
         v = deficient[rng.randrange(len(deficient))]
-        missing = [i + 1 for i in range(n) if cc[v][i] == 0]
+        row = cc[v]
+        missing = tuple([i for i in range(n) if row[i] == 0])
+        candidates = holding.get(missing)
+        if candidates is None:
+            candidates = holding[missing] = [
+                p for p, ms in enumerate(cover.means) if not set(ms).isdisjoint(missing)
+            ]
         moves, top = [], None
         for w in nbrs[v]:
-            for i in missing:
-                d = cover.delta(w, i)
+            for p in candidates:
+                d = cover.delta(w, p)
                 if tabu_until[w] >= step and cover.value + d <= best:
                     continue
                 if top is None or d > top:
-                    moves, top = [(w, i)], d
+                    moves, top = [(w, p)], d
                 elif d == top:
-                    moves.append((w, i))
+                    moves.append((w, p))
         if not moves:
             continue
-        w, i = moves[rng.randrange(len(moves))]
-        cover.move(w, i, top)
+        w, p = moves[rng.randrange(len(moves))]
+        cover.move(w, p, top)
         tabu_until[w] = step + 2 + rng.randrange(8)
         for x in nbrs[w]:
             bad = cover.deficient(x)

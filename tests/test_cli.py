@@ -215,6 +215,27 @@ class TestCheck:
             main(["check", "--graph", src, "--report", str(report)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("assignment", [[1], [2], [3]]),
+            ("assignment", {"0": ["1"], "1": ["2"], "2": ["3"]}),
+            ("assignment", {"0": 1, "1": 2, "2": 3}),
+            ("errors", [1]),
+        ],
+        ids=["assignment-list", "string-means", "bare-integer-means", "errors-list"],
+    )
+    def test_malformed_assignment_or_errors_is_usage_error(
+        self, tmp_path, capsys, field, value
+    ):
+        src, report = self._partition_report(tmp_path, capsys, complete_graph(3))
+        doc = json.loads(report.read_text())
+        doc[field] = value
+        report.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--graph", src, "--report", str(report)])
+        assert exc.value.code == 2
+
     def test_cost_portfolio_report_checks_valid(self, tmp_path, capsys):
         src = write_graph(tmp_path / "g.json", complete_graph(3))
         report = tmp_path / "r.json"
@@ -312,6 +333,35 @@ class TestExperiment:
         cfg.write_text(json.dumps(config))
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
+
+class TestGraphLoading:
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"nodes": [[0.1, 0.2], [1.5, 0.2]]},
+            {"nodes": [[0.1, 0.2], [0.3, -0.1]]},
+            {"nodes": [[0.1, 0.2], [0.3]]},
+            {"nodes": [[0.1, 0.2], [0.3, 0.4, 0.5]]},
+            {"nodes": [[0.1, 0.2], 0.3]},
+            {"nodes": [[0.1, 0.2], [None, 0.4]]},
+            {"edges": [[0]]},
+            {"edges": [1]},
+            {"r_tr": None},
+        ],
+        ids=[
+            "x-outside", "y-outside", "one-coordinate", "three-coordinates",
+            "bare-number-node", "null-coordinate", "one-field-edge", "bare-number-edge",
+            "null-r_tr",
+        ],
+    )
+    def test_malformed_graph_is_usage_error(self, tmp_path, capsys, change):
+        doc = {"lambda": 0.0, "r_tr": 0.5, "nodes": [[0.1, 0.2], [0.3, 0.4]], "edges": [[0, 1]]}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({**doc, **change}))
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", "--graph", str(path), "--n", "2", "--objective", "optimal"])
         assert exc.value.code == 2
 
 

@@ -325,6 +325,23 @@ class TestJsonRoundTrip:
         assert again.tag_of(1, 2) == "joined"
 
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {"r_tr": 0.5, "nodes": [[1.0, 0.5]], "edges": []},
+            {"r_tr": 0.5, "nodes": [[0.5]], "edges": []},
+            {"r_tr": 0.5, "nodes": [0.5], "edges": []},
+            {"r_tr": 0.5, "nodes": [[0.1, 0.1], [0.2, 0.2]], "edges": [[1]]},
+            {"r_tr": 0.5, "nodes": [[0.1, 0.1], [0.2, 0.2]], "edges": [[0, "b"]]},
+        ],
+        ids=["not-an-object", "x-at-one", "short-node", "bare-node", "short-edge", "named-edge-end"],
+    )
+    def test_malformed_document_raises_value_error(self, doc):
+        with pytest.raises(ValueError):
+            GeometricGraph.from_json_dict(doc)
+
+
 class TestImmutability:
     def test_with_edges_leaves_original_untouched(self):
         g = graph_from_edges(3, [(0, 1)])

@@ -1,3 +1,6 @@
+import functools
+import hashlib
+import json
 import random
 
 import pytest
@@ -13,7 +16,7 @@ from udgpart.ilp import (
     build_soft_variant,
     portfolio_domain,
 )
-from udgpart.metrics import prepare_graph
+from udgpart.metrics import coverage_errors, prepare_graph
 from udgpart.seeds import degree_seed
 from udgpart.solver import (
     OracleCapError,
@@ -252,64 +255,262 @@ class TestSolve:
             assert r.explored_nodes == 0
 
 
+@functools.lru_cache(maxsize=None)
+def _prepared(size, deg, variant, seed):
+    return prepare_graph(degree_seed(size, deg), variant, seed, 100)
+
+
+_COSTS = (0.5, 0.5, 1.0)
+
+
+class TestFeasibilityWarmStart:
+    @pytest.mark.parametrize("size, seed", [(100, 3001004), (300, 3013004)])
+    @pytest.mark.parametrize("program", ["e3", "k52"])
+    def test_satisfiable_program_is_proven_without_branching(self, size, seed, program):
+        # the depth-first search alone finds no satisfying leaf on these
+        # programs within seconds; the warm start meets the root bound |V|
+        g = _prepared(size, 4, "SG2", seed)
+        m = build_domatic_feasibility(g, 3) if program == "e3" else build_fixed_k(g, 5, 2)
+        r = solve(m, SolveLimits(time_limit=5))
+        assert r.status == "optimal"
+        assert r.explored_nodes == 0
+        errors = coverage_errors(g, r.assignment, m.n)
+        assert errors.miss_cov == errors.inc_nodes == 0
+
+    @pytest.mark.parametrize("copies", [1, 20])
+    def test_unsatisfiable_program_admitted_by_root_bound_is_refuted(self, copies):
+        # C_5 has no domatic 3-partition, yet every closed neighbourhood
+        # holds three nodes: the root bound admits the program, the warm
+        # start runs out of patience and the search refutes it
+        edges = [(5 * c + i, 5 * c + (i + 1) % 5) for c in range(copies) for i in range(5)]
+        g = graph_from_edges(5 * copies, edges)
+        m = build_domatic_feasibility(g, 3)
+        assert root_caps(m) == [1] * g.node_count
+        r = solve(m, SolveLimits(time_limit=30))
+        assert r.status == "infeasible"
+        assert r.assignment is None
+
+    def test_feasibility_statuses_match_oracle(self):
+        statuses = set()
+        for trial in range(20):
+            g = _random_lambda_udg(trial + 400, lo=4, hi=8)
+            for m in (
+                build_domatic_feasibility(g, 3),
+                build_fixed_k(g, 3, 2),
+                build_cost_based(g, 3, _COSTS),
+            ):
+                r = solve(m, SolveLimits(time_limit=30))
+                assert r.status == brute_force(m).status
+                statuses.add(r.status)
+                if r.status == "optimal":
+                    values = m.assignment_to_values(r.assignment)
+                    assert m.violated_constraints(values) == []
+        assert statuses == {"optimal", "infeasible"}
+
+    def test_soft_portfolio_variants_match_oracle(self):
+        for trial in range(8):
+            g = _random_lambda_udg(trial + 500, lo=4, hi=8)
+            for base in ("optimal", "maximal"):
+                for m in (
+                    build_soft_variant(g, 3, base, k=2),
+                    build_soft_variant(g, 3, base, costs=_COSTS),
+                ):
+                    r = solve(m, SolveLimits(time_limit=30))
+                    assert r.status == "optimal"
+                    assert r.objective == r.best_bound == brute_force(m).objective
+
+
+def _highs_satisfiable(model):
+    """Whether scipy's HiGHS finds a 0-1 point meeting every row of ``model``."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    rows, cols, vals, lo, hi = [], [], [], [], []
+    for r, con in enumerate(model.constraints):
+        for idx, coef in con.terms:
+            rows.append(r)
+            cols.append(idx)
+            vals.append(coef)
+        lo.append(con.bound if con.relation in (">=", "=") else -float("inf"))
+        hi.append(con.bound if con.relation in ("<=", "=") else float("inf"))
+    nv = len(model.variables)
+    matrix = coo_array((vals, (rows, cols)), shape=(len(model.constraints), nv)).tocsr()
+    res = milp(
+        [0.0] * nv,
+        constraints=LinearConstraint(matrix, lo, hi),
+        integrality=[1] * nv,
+        bounds=Bounds(0, 1),
+        options={"time_limit": 60},
+    )
+    assert res.status in (0, 2), res.message  # 0: solved, 2: infeasible
+    return res.status == 0
+
+
+@pytest.mark.parametrize(
+    "size, deg, rep",
+    [(40, 3, 1), (40, 6, 3), (60, 5, 3), (60, 6, 2), (80, 4, 1), (80, 6, 3)],
+)
+def test_feasibility_statuses_match_highs(size, deg, rep):
+    pytest.importorskip("scipy")
+    g = _prepared(size, deg, "SG2", 1000 * size + 10 * deg + rep)
+    for m in (
+        build_domatic_feasibility(g, 3),
+        build_domatic_feasibility(g, 4),
+        build_fixed_k(g, 4, 2),
+        build_fixed_k(g, 5, 2),
+        build_cost_based(g, 3, _COSTS),
+    ):
+        r = solve(m, SolveLimits(time_limit=30))
+        assert r.status in ("optimal", "infeasible")
+        assert (r.status == "optimal") == _highs_satisfiable(m)
+
+
+# Recorded before the feasibility programs shared the warm start: the 36
+# exactly-one soft cells of one benchmark graph set, (|V|, degree, n,
+# objective) -> status, objective, best bound, explored nodes and the first
+# 16 hex digits of the SHA-256 of the assignment's JSON.
+_EXACTLY_ONE_GOLDEN = [
+    (40, 4, 3, "optimal", "optimal", 119, 119, 0, "21c1572e19ed72ba"),
+    (40, 4, 3, "maximal", "optimal", 39, 39, 0, "21c1572e19ed72ba"),
+    (40, 4, 4, "optimal", "optimal", 151, 151, 0, "1efd0cb24bcf3014"),
+    (40, 4, 4, "maximal", "optimal", 32, 32, 0, "78793de1caacb93a"),
+    (40, 4, 5, "optimal", "optimal", 177, 177, 0, "924f5832b57d7b8b"),
+    (40, 4, 5, "maximal", "optimal", 26, 26, 0, "323bf4cab8d2c7c4"),
+    (40, 6, 3, "optimal", "optimal", 120, 120, 0, "4d41159ad6df0e62"),
+    (40, 6, 3, "maximal", "optimal", 40, 40, 0, "4d41159ad6df0e62"),
+    (40, 6, 4, "optimal", "feasible-time-limit", 157, 158, 20028, "f11bcb52058ca231"),
+    (40, 6, 4, "maximal", "feasible-time-limit", 37, 38, 20029, "1f58cb429abe4217"),
+    (40, 6, 5, "optimal", "optimal", 192, 192, 0, "a71bcbbbea75c5fc"),
+    (40, 6, 5, "maximal", "optimal", 34, 34, 0, "a7c2f33fde3495aa"),
+    (60, 4, 3, "optimal", "optimal", 180, 180, 0, "ed924845e3ca03bd"),
+    (60, 4, 3, "maximal", "optimal", 60, 60, 0, "ed924845e3ca03bd"),
+    (60, 4, 4, "optimal", "optimal", 233, 233, 0, "e77b20787853e72a"),
+    (60, 4, 4, "maximal", "optimal", 53, 53, 0, "0f8642b1bcd576b2"),
+    (60, 4, 5, "optimal", "optimal", 271, 271, 0, "81e64afcb2c244cf"),
+    (60, 4, 5, "maximal", "optimal", 38, 38, 0, "59c4b891de01bb93"),
+    (60, 6, 3, "optimal", "optimal", 180, 180, 0, "f5b69ca788136783"),
+    (60, 6, 3, "maximal", "optimal", 60, 60, 0, "f5b69ca788136783"),
+    (60, 6, 4, "optimal", "optimal", 239, 239, 0, "d9be06e06321949b"),
+    (60, 6, 4, "maximal", "optimal", 59, 59, 0, "d9be06e06321949b"),
+    (60, 6, 5, "optimal", "optimal", 295, 295, 0, "47ab1e9e2b85b21c"),
+    (60, 6, 5, "maximal", "optimal", 56, 56, 0, "8b492bcb373bebdf"),
+    (100, 4, 3, "optimal", "optimal", 300, 300, 0, "ffd3cea4803198ed"),
+    (100, 4, 3, "maximal", "optimal", 100, 100, 0, "ffd3cea4803198ed"),
+    (100, 4, 4, "optimal", "feasible-time-limit", 386, 387, 20061, "409b7aa34fb15c18"),
+    (100, 4, 4, "maximal", "feasible-time-limit", 86, 87, 20061, "2ed1c5cf0d649837"),
+    (100, 4, 5, "optimal", "optimal", 447, 447, 0, "87c1cf4318b41d84"),
+    (100, 4, 5, "maximal", "optimal", 60, 60, 0, "b741a79517dff266"),
+    (100, 6, 3, "optimal", "optimal", 300, 300, 0, "3fa5244073bf6779"),
+    (100, 6, 3, "maximal", "optimal", 100, 100, 0, "3fa5244073bf6779"),
+    (100, 6, 4, "optimal", "optimal", 400, 400, 0, "7513ffc7b987842c"),
+    (100, 6, 4, "maximal", "optimal", 100, 100, 0, "7513ffc7b987842c"),
+    (100, 6, 5, "optimal", "optimal", 494, 494, 0, "d3c9004fdf675a92"),
+    (100, 6, 5, "maximal", "optimal", 94, 94, 0, "1114758d0e157fc3"),
+]
+
+
+@pytest.mark.parametrize(
+    "size, deg, n, objective, status, value, bound, explored, digest",
+    _EXACTLY_ONE_GOLDEN,
+    ids=[f"{s}-{d}-n{n}-{o}" for s, d, n, o, *_ in _EXACTLY_ONE_GOLDEN],
+)
+def test_exactly_one_solves_match_recorded(
+    size, deg, n, objective, status, value, bound, explored, digest
+):
+    g = _prepared(size, deg, "SG1", size * 10 + deg)
+    build = build_optimal_soft if objective == "optimal" else build_maximal_soft
+    r = solve(build(g, n), SolveLimits(time_limit=60, node_limit=20000))
+    assignment = json.dumps([sorted(m) for m in r.assignment.assign])
+    assert (r.status, r.objective, r.best_bound, r.explored_nodes) == (
+        status, value, bound, explored,
+    )
+    assert hashlib.sha256(assignment.encode()).hexdigest()[:16] == digest
+
+
 class _CheckedCover(_Cover):
     """Cover whose every applied move is recounted from scratch."""
 
-    def __init__(self, model, labels, cap):
-        super().__init__(model, labels, cap)
+    def __init__(self, model, domain, labels, cap):
+        super().__init__(model, domain, labels, cap)
         self.model = model
-        self.moves = 0
+        self.domain = domain
+        self.moves = self.wide_moves = 0
 
-    def move(self, u, mean, delta):
-        super().move(u, mean, delta)
+    def move(self, u, p, delta):
+        swap = self.swap[self.labels[u]][p][0] >= 0
+        super().move(u, p, delta)
         self.moves += 1
-        assert self.value == _recount(self.model, self.labels)
+        self.wide_moves += not swap
+        assert self.value == _recount(self.model, self.domain, self.labels)
 
 
-def _recount(model, labels):
+def _recount(model, domain, labels):
+    """Objective of a portfolio labelling, from the model's own rows.
+
+    A feasibility program is scored as maximal-soft: the nodes none of
+    whose cover rows is violated.
+    """
     values = model.assignment_to_values(
-        PartitionAssignment.from_labels(labels, model.n)
+        PartitionAssignment(tuple(domain[p] for p in labels), model.n)
     )
-    return model.objective_value(values)
+    if model.kind != "feasibility":
+        return model.objective_value(values)
+    broken = {name.split("_")[1] for name in model.violated_constraints(values)}
+    return model.node_count - len(broken)
+
+
+def _cover_programs(g):
+    """Every kind on every domain shape: single means, k-subsets, cost subsets."""
+    for n in (3, 4, 5):
+        yield build_optimal_soft(g, n)
+        yield build_maximal_soft(g, n)
+        yield build_domatic_feasibility(g, n)
+    for n, k in ((4, 2), (5, 2)):
+        yield build_soft_variant(g, n, "optimal", k=k)
+        yield build_soft_variant(g, n, "maximal", k=k)
+        yield build_fixed_k(g, n, k)
+    costs = (0.5, 0.5, 1.0)
+    yield build_soft_variant(g, 3, "optimal", costs=costs)
+    yield build_soft_variant(g, 3, "maximal", costs=costs)
+    yield build_cost_based(g, 3, costs)
 
 
 class TestCoverDeltas:
     def test_polish_and_tabu_moves_match_recount(self):
-        polish_moves = tabu_moves = 0
+        polish_moves = tabu_moves = wide_moves = 0
         for trial in range(6):
             g = _random_lambda_udg(trial + 200, lo=12, hi=30)
-            for build in (build_optimal_soft, build_maximal_soft):
-                for n in (3, 4, 5):
-                    m = build(g, n)
-                    caps = root_caps(m)
-                    target = sum(caps)
-                    cover = _CheckedCover(m, [1] * g.node_count, caps)
-                    assert cover.value == _recount(m, cover.labels)
-                    assert _polish(cover, float("inf"))
-                    polish_moves += cover.moves
-                    cover.moves = 0
-                    labels, best, cut = _tabu(
-                        cover, float("inf"), random.Random(trial), 20 * g.node_count
-                    )
-                    assert not cut
-                    assert best == _recount(m, labels) <= target
-                    tabu_moves += cover.moves
-        assert polish_moves and tabu_moves  # both phases were exercised
+            for m in _cover_programs(g):
+                domain, caps = domain_of(m), root_caps(m)
+                target = sum(caps)
+                cover = _CheckedCover(m, domain, [0] * g.node_count, caps)
+                assert cover.value == _recount(m, domain, cover.labels)
+                assert _polish(cover, float("inf"))
+                polish_moves += cover.moves
+                cover.moves = 0
+                labels, best, cut = _tabu(
+                    cover, float("inf"), random.Random(trial), 20 * g.node_count
+                )
+                assert not cut
+                assert best == _recount(m, domain, labels) <= target
+                tabu_moves += cover.moves
+                wide_moves += cover.wide_moves
+        # both phases were exercised, and so were moves that are not swaps
+        assert polish_moves and tabu_moves and wide_moves
 
     def test_every_delta_matches_recount(self):
         rng = random.Random(5)
         for trial in range(4):
             g = _random_lambda_udg(trial + 300)
-            for build in (build_optimal_soft, build_maximal_soft):
-                for n in (3, 4, 5):
-                    m = build(g, n)
-                    start = [rng.randint(1, n) for _ in range(g.node_count)]
-                    cover = _Cover(m, start, root_caps(m))
-                    for _ in range(40):
-                        u, mean = rng.randrange(g.node_count), rng.randint(1, n)
-                        d = cover.delta(u, mean)
-                        labels = list(cover.labels)
-                        labels[u] = mean
-                        assert cover.value + d == _recount(m, labels)
-                        cover.move(u, mean, d)
-                        assert cover.value == _recount(m, cover.labels)
+            for m in _cover_programs(g):
+                domain = domain_of(m)
+                start = [rng.randrange(len(domain)) for _ in range(g.node_count)]
+                cover = _Cover(m, domain, start, root_caps(m))
+                for _ in range(40):
+                    u, p = rng.randrange(g.node_count), rng.randrange(len(domain))
+                    d = cover.delta(u, p)
+                    labels = list(cover.labels)
+                    labels[u] = p
+                    assert cover.value + d == _recount(m, domain, labels)
+                    cover.move(u, p, d)
+                    assert cover.value == _recount(m, domain, cover.labels)
