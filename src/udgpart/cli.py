@@ -33,9 +33,11 @@ from .ilp import (
     CAP_COST,
     CAP_EXACTLY_ONE,
     CAP_FIXED_K,
+    CAPACITY_MODES,
     PartitionAssignment,
     _validate_costs,
     _validate_k,
+    admissible,
     build_cost_based,
     build_domatic_feasibility,
     build_fixed_k,
@@ -43,7 +45,6 @@ from .ilp import (
     build_optimal_soft,
     build_soft_variant,
     export_lp,
-    portfolio_domain,
 )
 from .metrics import ExperimentConfig, coverage_errors, run_experiment
 from .seeds import SeedTableRow, degree_seed, rows_to_csv
@@ -345,18 +346,23 @@ def _cmd_experiment(args, parser):
     return EXIT_OK if solved else EXIT_DOMAIN
 
 
-def _report_domain(doc, n, parser, path):
-    """Admissible portfolios under the report's capacity (exactly-one if absent)."""
+def _report_capacity(doc, n, parser, path):
+    """Whether a mean set is admissible under the report's capacity.
+
+    The capacity defaults to exactly-one; a malformed one exits 2.
+    """
     cap = doc.get("capacity", {"mode": CAP_EXACTLY_ONE})
     if not isinstance(cap, dict):
         parser.error(f"report {path}: capacity must be an object, got {cap!r}")
     mode = cap.get("mode", CAP_EXACTLY_ONE)
     try:
+        if mode not in CAPACITY_MODES:
+            raise ValueError(f"unknown capacity mode {mode!r}")
         k = _validate_k(cap.get("k"), n) if mode == CAP_FIXED_K else None
         costs = _validate_costs(cap.get("costs"), n) if mode == CAP_COST else None
-        return set(portfolio_domain(n, mode, k, costs))
     except ValueError as exc:
         parser.error(f"report {path}: {exc}")
+    return lambda means: admissible(means, n, mode, k, costs)
 
 
 def _is_int(value):
@@ -397,7 +403,7 @@ def _cmd_check(args, parser):
     n = doc.get("n") if isinstance(doc, dict) else None
     if not _is_int(n) or n < 1:
         parser.error(f"report {args.report} carries no positive integer \"n\"")
-    domain = _report_domain(doc, n, parser, args.report)
+    admits = _report_capacity(doc, n, parser, args.report)
     claimed = doc.get("errors") or {}
     if not isinstance(claimed, dict):
         parser.error(f"report {args.report}: errors must be an object, got {claimed!r}")
@@ -408,7 +414,7 @@ def _cmd_check(args, parser):
     problems = [problem] if problem else []
     if assignment is not None:
         for v, means in enumerate(assignment.assign):
-            if means not in domain:
+            if not admits(means):
                 problems.append(
                     f"node {v} holds {sorted(means)}, not a portfolio its capacity admits"
                 )

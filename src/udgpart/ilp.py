@@ -22,6 +22,7 @@ KIND_MAXIMAL_SOFT = "maximal-soft"
 CAP_EXACTLY_ONE = "exactly-one"
 CAP_FIXED_K = "fixed-k"
 CAP_COST = "cost"
+CAPACITY_MODES = (CAP_EXACTLY_ONE, CAP_FIXED_K, CAP_COST)
 
 
 @dataclass(frozen=True)
@@ -176,8 +177,8 @@ def portfolio_domain(n, capacity, k=None, costs=None) -> tuple[frozenset[int], .
     """Admissible per-node mean portfolios, identical for every node.
 
     A single mean under exactly-one, every k-subset under fixed-k, and every
-    subset whose costs sum to 1 under the cost rule; ``k`` and ``costs`` are
-    taken as validated.
+    subset whose costs sum to 1 under the cost rule: exactly the mean sets
+    :func:`admissible` accepts.  ``k`` and ``costs`` are taken as validated.
     """
     means = range(1, n + 1)
     if capacity == CAP_EXACTLY_ONE:
@@ -186,12 +187,28 @@ def portfolio_domain(n, capacity, k=None, costs=None) -> tuple[frozenset[int], .
         return tuple(frozenset(c) for c in itertools.combinations(means, k))
     if capacity != CAP_COST:
         raise ValueError(f"unknown capacity mode {capacity!r}")
-    out = []
-    for mask in range(1, 2**n):
-        subset = [i for i in means if mask >> (i - 1) & 1]
-        if abs(sum(costs[i - 1] for i in subset) - 1.0) <= 1e-9:
-            out.append(frozenset(subset))
-    return tuple(out)
+    subsets = ([i for i in means if mask >> (i - 1) & 1] for mask in range(1, 2**n))
+    return tuple(
+        frozenset(subset) for subset in subsets
+        if admissible(subset, n, capacity, costs=costs)
+    )
+
+
+def admissible(means, n, capacity, k=None, costs=None) -> bool:
+    """Whether a node may hold the 1-based mean set ``means``, in O(|means|).
+
+    ``k`` and ``costs`` are taken as validated.
+    """
+    if not all(1 <= i <= n for i in means):
+        return False
+    if capacity == CAP_EXACTLY_ONE:
+        return len(means) == 1
+    if capacity == CAP_FIXED_K:
+        return len(means) == k
+    if capacity != CAP_COST:
+        raise ValueError(f"unknown capacity mode {capacity!r}")
+    # summed in ascending order, as the domain's subsets are
+    return abs(sum(costs[i - 1] for i in sorted(means)) - 1.0) <= 1e-9
 
 
 def _build(g, n, kind, capacity, k=None, costs=None):

@@ -6,6 +6,7 @@ shows up as a metric identity violation instead of propagating silently.
 """
 
 import csv
+import numbers
 import os
 import typing
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -61,8 +62,6 @@ def error_bounds(g: GeometricGraph, n: int) -> tuple[int, int]:
     """Worst-case (incompletely covered nodes, missing coverages) for size n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return g.node_count, 0
     return g.node_count, (n - 1) * g.node_count
 
 
@@ -88,6 +87,12 @@ class ExperimentConfig:
         bad = [o for o in self.objectives if o not in ("optimal", "maximal")]
         if bad:
             raise ValueError(f"unknown objectives {bad}")
+        bad = [
+            n for n in self.partition_sizes
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1
+        ]
+        if bad:
+            raise ValueError(f"partition sizes must be positive integers, got {bad}")
 
 
 @dataclass(frozen=True)

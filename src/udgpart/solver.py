@@ -7,10 +7,11 @@ enumerates whole assignments; the branch-and-bound search fixes nodes one at
 a time and prunes with a combinatorial per-node coverage cap that is exact on
 leaves, so its bound never undercuts a completion of the current partial
 assignment.  Every program starts from one warm start: a greedy portfolio
-labelling improved by local search on incrementally kept cover counts, with
-feasibility programs scored as maximal-soft.  When that labelling meets the
-root bound it is optimal (for a feasibility program: satisfying) without any
-branching; otherwise the search runs with the time that is left.
+labelling improved by local search on incrementally kept cover counts (the
+counts the search fixes nodes on), with feasibility programs scored as
+maximal-soft.  When that labelling meets the root bound it is optimal (for a
+feasibility program: satisfying) without any branching; otherwise the search
+runs with the time that is left.
 """
 
 import itertools
@@ -29,7 +30,7 @@ from .ilp import (
     KIND_OPTIMAL_SOFT,
     IlpModel,
     PartitionAssignment,
-    _closed_neighbourhoods,
+    build_optimal_soft,
     portfolio_domain,
 )
 
@@ -147,63 +148,43 @@ def greedy_incumbent(g: GeometricGraph, n: int) -> PartitionAssignment:
     The policy is identical for both soft objectives.
     """
     domain = portfolio_domain(n, CAP_EXACTLY_ONE)
-    labels = _greedy(_closed_neighbourhoods(g), domain, n)
-    return PartitionAssignment(tuple(domain[p] for p in labels), n)
+    cover = _Cover(build_optimal_soft(g, n), domain)
+    _greedy(cover)
+    return PartitionAssignment(tuple(domain[p] for p in cover.labels), n)
 
 
-def _mean_indices(domain):
-    """Each portfolio's means as sorted 0-based indices."""
-    return [tuple(i - 1 for i in sorted(p)) for p in domain]
-
-
-def _greedy(nbrs, domain, n):
-    """Portfolio indices, highest degree first, locally rarest means first.
+def _greedy(cover):
+    """Label every node, highest degree first, locally rarest means first.
 
     Each node takes the portfolio whose means its labelled closed
     neighbourhood holds least often (sum of counts, then portfolio index).
     """
-    means = _mean_indices(domain)
-    order = sorted(range(len(nbrs)), key=lambda v: (-len(nbrs[v]), v))
-    label = [-1] * len(nbrs)
-    for v in order:
-        counts = [0] * n
-        for w in nbrs[v]:
-            if label[w] >= 0:
-                for i in means[label[w]]:
-                    counts[i] += 1
-        label[v] = min(
-            range(len(means)),
-            key=lambda p: (sum(counts[i] for i in means[p]), p),
+    nbrs, means, cc = cover.nbrs, cover.means, cover.cc
+    portfolios = range(cover.unlabelled)
+    for v in sorted(range(len(nbrs)), key=lambda v: (-len(nbrs[v]), v)):
+        row = cc[v]
+        cover.move(
+            v, min(portfolios, key=lambda p: (sum(row[i] for i in means[p]), p))
         )
-    return label
 
 
 class _Search:
-    """Depth-first branch and bound over per-node portfolio choices."""
+    """Depth-first branch and bound over per-node portfolio choices.
+
+    Nodes are fixed on a cover that starts unlabelled; each node contributes
+    its cover cap, so the bound is exact on leaves.
+    """
 
     def __init__(self, model, domain, limits):
-        self.model = model
-        self.domain = domain
+        self.cover = _Cover(model, domain)
         self.limits = limits
-        self.n = model.n
-        self.nc = model.node_count
-        self.nbrs = model.closed_neighbourhoods
-        self.smax = max(len(p) for p in domain)
-        self.possible = [
-            any(i in p for p in domain) for i in range(1, self.n + 1)
-        ]
+        self.feasibility = model.kind == KIND_FEASIBILITY
+        # permuting mean labels maps solutions to solutions unless costs
+        # break the symmetry, so the first branched node needs one child only
+        self.symmetric = model.capacity in (CAP_EXACTLY_ONE, CAP_FIXED_K)
         self.order = self._branch_order()
-        self.fixed = [-1] * self.nc
-        self.cover_cnt = [[0] * self.n for _ in range(self.nc)]
-        self.distinct = [0] * self.nc
-        self.unfixed_cnt = [len(self.nbrs[v]) for v in range(self.nc)]
-        self.contrib = [0] * self.nc
-        self.bound = 0
-        for v in range(self.nc):
-            c = self._node_contrib(v)
-            self.contrib[v] = c
-            self.bound += c
-        self.root_bound = self.bound
+        self.contrib = list(self.cover.root_cap)
+        self.bound = sum(self.contrib)
         self.incumbent_row = None
         self.incumbent_val = None
         self.explored = 0
@@ -220,56 +201,31 @@ class _Search:
         tree; a degree-sorted order leaves it slack until the very bottom
         and can be slower by orders of magnitude.
         """
-        fixed_adj = [0] * self.nc
+        nbrs = self.cover.nbrs
+        fixed_adj = [0] * len(nbrs)
         out = []
-        remaining = set(range(self.nc))
+        remaining = set(range(len(nbrs)))
         while remaining:
             v = min(
                 remaining,
-                key=lambda w: (-fixed_adj[w], len(self.nbrs[w]), w),
+                key=lambda w: (-fixed_adj[w], len(nbrs[w]), w),
             )
             out.append(v)
             remaining.discard(v)
-            for w in self.nbrs[v]:
+            for w in nbrs[v]:
                 fixed_adj[w] += 1
         return out
 
-    def _node_contrib(self, v):
-        u = self.unfixed_cnt[v]
-        cc = self.cover_cnt[v]
-        d = self.distinct[v]
-        kind = self.model.kind
-        if kind == KIND_OPTIMAL_SOFT:
-            if u == 0:
-                return d
-            ach = sum(
-                1
-                for i in range(self.n)
-                if cc[i] > 0 or self.possible[i]
-            )
-            return min(self.n, ach, d + self.smax * u)
-        reachable = all(
-            cc[i] > 0 or (u > 0 and self.possible[i]) for i in range(self.n)
-        )
-        full = reachable and (d + self.smax * u >= self.n)
-        return 1 if full else 0
-
-    def _apply(self, v, portfolio, sign):
-        # sign +1 fixes, -1 unfixes; refresh the cap of every neighbourhood
-        # the node participates in
-        for w in self.nbrs[v]:
-            cc = self.cover_cnt[w]
-            for i in portfolio:
-                before = cc[i - 1]
-                cc[i - 1] = before + sign
-                if sign > 0 and before == 0:
-                    self.distinct[w] += 1
-                elif sign < 0 and before == 1:
-                    self.distinct[w] -= 1
-            self.unfixed_cnt[w] -= sign
-            c = self._node_contrib(w)
-            self.bound += c - self.contrib[w]
-            self.contrib[w] = c
+    def _relabel(self, v, p):
+        # move node v and refresh the cap of every neighbourhood it is in
+        cover, contrib = self.cover, self.contrib
+        cover.move(v, p)
+        change = 0
+        for w in cover.nbrs[v]:
+            c = cover.cap(w)
+            change += c - contrib[w]
+            contrib[w] = c
+        self.bound += change
 
     def _check_limits(self):
         if self.limits.node_limit is not None and self.explored >= self.limits.node_limit:
@@ -282,50 +238,45 @@ class _Search:
 
     def run(self, time_budget):
         self.deadline = time.perf_counter() + time_budget
-        kind = self.model.kind
-        # permuting mean labels maps solutions to solutions unless costs
-        # break the symmetry, so the first branched node needs one child only
-        first_domain = (
-            self.domain[:1]
-            if self.model.capacity in (CAP_EXACTLY_ONE, CAP_FIXED_K)
-            else self.domain
-        )
+        labels, order = self.cover.labels, self.order
+        nc, unlabelled = len(labels), self.cover.unlabelled
+        feasibility = self.feasibility
+        first_children = range(1 if self.symmetric else unlabelled)
+        children = range(unlabelled)
 
         def dfs(depth):
             if self.timed_out or self.node_limited:
                 return False
-            if depth == self.nc:
-                val = self.bound
-                if kind == KIND_FEASIBILITY:
-                    self.incumbent_row = list(self.fixed)
+            if depth == nc:
+                if feasibility:
+                    self.incumbent_row = list(labels)
                     self.incumbent_val = 0.0
                     return True  # first satisfying leaf ends the search
-                if self.incumbent_val is None or val > self.incumbent_val:
-                    self.incumbent_val = val
-                    self.incumbent_row = list(self.fixed)
+                if self.incumbent_val is None or self.bound > self.incumbent_val:
+                    self.incumbent_val = self.bound
+                    self.incumbent_row = list(labels)
                 return False
-            v = self.order[depth]
-            children = first_domain if depth == 0 else self.domain
-            for idx, portfolio in enumerate(children):
+            v = order[depth]
+            found = False
+            # siblings relabel v in place; it is unfixed once they are done
+            for p in first_children if depth == 0 else children:
                 self.explored += 1
                 if self._check_limits():
-                    return False
-                self.fixed[v] = idx
-                self._apply(v, portfolio, +1)
-                if kind == KIND_FEASIBILITY:
-                    keep = self.bound >= self.nc
+                    break
+                self._relabel(v, p)
+                if feasibility:
+                    keep = self.bound >= nc
                 else:
                     keep = (
                         self.incumbent_val is None
                         or self.bound > self.incumbent_val
                     )
                 if keep and dfs(depth + 1):
-                    self._apply(v, portfolio, -1)
-                    self.fixed[v] = -1
-                    return True
-                self._apply(v, portfolio, -1)
-                self.fixed[v] = -1
-            return False
+                    found = True
+                    break
+            if labels[v] != unlabelled:
+                self._relabel(v, unlabelled)
+            return found
 
         dfs(0)
 
@@ -347,60 +298,56 @@ def solve(model: IlpModel, limits: SolveLimits = SolveLimits()) -> SolveReport:
             STATUS_INFEASIBLE, None, None, None, time.perf_counter() - start, 0
         )
     deadline = start + limits.time_limit
-    search = _Search(model, domain, limits)
+    cover = _Cover(model, domain)
+    root_bound = sum(cover.root_cap)
     feasibility = model.kind == KIND_FEASIBILITY
 
     # a feasibility program whose root bound is below |V| goes straight to
     # the search, which refutes it at the first node
+    row = value = None
+    explored = 0
     interrupted = solved = False
-    if not feasibility or search.root_bound == search.nc:
-        labels, value, interrupted = _warm_start(
-            model, domain, search.contrib, deadline
-        )
+    if not feasibility or root_bound == model.node_count:
+        labels, warm, interrupted = _warm_start(cover, deadline)
         # a warm start at the root bound is optimal (for a feasibility
         # program: satisfies every constraint); one cut by the clock
         # otherwise ends the solve, so the clock never decides what a
         # proven result looks like
-        solved = value == search.root_bound
+        solved = warm == root_bound
         interrupted = interrupted and not solved
         if solved or not feasibility:
-            search.incumbent_row = labels
-            search.incumbent_val = 0.0 if feasibility else value
+            row, value = labels, 0.0 if feasibility else warm
 
     if not interrupted and not solved:
+        search = _Search(model, domain, limits)
+        search.incumbent_row, search.incumbent_val = row, value
         search.run(max(deadline - time.perf_counter(), 1e-3))
         interrupted = search.timed_out or search.node_limited
+        row, value, explored = search.incumbent_row, search.incumbent_val, search.explored
     wall = time.perf_counter() - start
 
-    if search.incumbent_row is None:
+    if row is None:
         if interrupted:
             return SolveReport(
-                STATUS_TIME_LIMIT, None, None, float(search.root_bound), wall,
-                search.explored,
+                STATUS_TIME_LIMIT, None, None, float(root_bound), wall, explored
             )
-        return SolveReport(
-            STATUS_INFEASIBLE, None, None, None, wall, search.explored
-        )
+        return SolveReport(STATUS_INFEASIBLE, None, None, None, wall, explored)
 
-    assignment = PartitionAssignment(
-        tuple(domain[k] for k in search.incumbent_row), model.n
-    )
+    assignment = PartitionAssignment(tuple(domain[k] for k in row), model.n)
     values = model.assignment_to_values(assignment)
     if model.violated_constraints(values):
-        return SolveReport(STATUS_ERROR, None, None, None, wall, search.explored)
-    objective = float(search.incumbent_val)
+        return SolveReport(STATUS_ERROR, None, None, None, wall, explored)
+    objective = float(value)
     if interrupted:
         return SolveReport(
             STATUS_TIME_LIMIT,
             assignment,
             objective,
-            float(max(search.root_bound, objective)),
+            float(max(root_bound, objective)),
             wall,
-            search.explored,
+            explored,
         )
-    return SolveReport(
-        STATUS_OPTIMAL, assignment, objective, objective, wall, search.explored
-    )
+    return SolveReport(STATUS_OPTIMAL, assignment, objective, objective, wall, explored)
 
 
 def _diff(a, b):
@@ -408,51 +355,66 @@ def _diff(a, b):
 
 
 class _Cover:
-    """Cover counts of a complete one-portfolio-per-node labelling.
+    """Cover counts of a portfolio labelling in which nodes may be unlabelled.
 
-    ``labels[u]`` is node u's index into the portfolio domain,
-    ``cc[v][i]`` counts the nodes of N[v] holding mean i+1 and
-    ``distinct[v]`` the means N[v] sees, so relabelling a node is evaluated
-    and applied in O(deg) per changed mean.  ``value`` is the model's soft
-    objective throughout; a feasibility program is scored as maximal-soft,
-    so a value of |V| means every cover constraint holds.  ``cap[v]`` is
-    the most node v can contribute, the search's root contribution of v
-    (``_Search.contrib`` before branching), so the caps sum to the root
-    bound.
+    ``labels[u]`` is node u's index into the portfolio domain, or
+    ``unlabelled``: one past the domain, an empty portfolio.  ``cc[v][i]``
+    counts the nodes of N[v] holding mean i+1, ``distinct[v]`` the means
+    N[v] sees and ``unfixed[v]`` its unlabelled nodes, so fixing, unfixing
+    or relabelling a node is evaluated and applied in O(deg) per changed
+    mean.  ``value()`` is the model's soft objective; a feasibility program
+    is scored as maximal-soft, so a value of |V| means every cover
+    constraint holds.  A new cover has every node unlabelled, and its caps
+    ``root_cap`` sum to the root bound.
     """
 
-    def __init__(self, model, domain, labels, cap):
+    def __init__(self, model, domain):
         self.n = n = model.n
         self.nbrs = model.closed_neighbourhoods
         self.maximal = model.kind != KIND_OPTIMAL_SOFT
-        self.means = means = _mean_indices(domain)
+        # each portfolio's means as sorted 0-based indices
+        self.means = means = [tuple(i - 1 for i in sorted(p)) for p in domain] + [()]
+        self.unlabelled = len(domain)
         # (lost means, gained means) of relabelling portfolio a with b, and
         # the lost and the gained mean if that is a one-for-one swap (every
-        # exactly-one move), (-1, -1) otherwise
+        # exactly-one relabelling), (-1, -1) otherwise
         self.diff = [[_diff(a, b) for b in means] for a in means]
         self.swap = [
             [(lost[0], gained[0]) if len(lost) == len(gained) == 1 else (-1, -1)
              for lost, gained in row]
             for row in self.diff
         ]
-        self.labels = list(labels)
+        self.smax = max(map(len, means))
+        held = {i for ms in means for i in ms}
+        self.possible = [i in held for i in range(n)]
+        self.reach_all = len(held) == n
+        self.labels = [self.unlabelled] * len(self.nbrs)
         self.cc = [[0] * n for _ in self.nbrs]
-        for row, nb in zip(self.cc, self.nbrs):
-            for w in nb:
-                for i in means[self.labels[w]]:
-                    row[i] += 1
-        self.distinct = [n - row.count(0) for row in self.cc]
-        self.cap = cap
-        self.value = self.distinct.count(n) if self.maximal else sum(self.distinct)
+        self.distinct = [0] * len(self.nbrs)
+        self.unfixed = [len(nb) for nb in self.nbrs]
+        self.root_cap = [self.cap(v) for v in range(len(self.nbrs))]
 
-    def deficient(self, v):
-        """Whether node v contributes less than its cap."""
+    def value(self):
+        return self.distinct.count(self.n) if self.maximal else sum(self.distinct)
+
+    def cap(self, v):
+        """The most node v can contribute once N[v] is labelled.
+
+        Exact on a labelled N[v]: its contribution to ``value()``.
+        """
+        d, u = self.distinct[v], self.unfixed[v]
+        if not u:
+            return int(d == self.n) if self.maximal else d
+        n = self.n
+        reach = n if self.reach_all else sum(
+            1 for c, ok in zip(self.cc[v], self.possible) if c or ok
+        )
         if self.maximal:
-            return self.cap[v] == 1 and self.distinct[v] < self.n
-        return self.distinct[v] < self.cap[v]
+            return int(reach == n and d + self.smax * u >= n)
+        return min(reach, d + self.smax * u)
 
     def delta(self, u, p):
-        """Objective change of relabelling node u with portfolio ``p``."""
+        """Change of ``value()`` by relabelling node u with portfolio ``p``."""
         a = self.labels[u]
         if a == p:
             return 0
@@ -478,9 +440,10 @@ class _Cover:
                 d += (distinct[w] + change == n) - (distinct[w] == n)
         return d
 
-    def move(self, u, p, delta):
-        """Relabel node u with portfolio ``p``; ``delta`` is ``self.delta(u, p)``."""
-        lost, gained = self.diff[self.labels[u]][p]
+    def move(self, u, p):
+        """Relabel node u with portfolio ``p``; ``unlabelled`` unfixes it."""
+        a = self.labels[u]
+        lost, gained = self.diff[a][p]
         cc, distinct = self.cc, self.distinct
         for w in self.nbrs[u]:
             row = cc[w]
@@ -492,46 +455,50 @@ class _Cover:
                 if row[y] == 0:
                     distinct[w] += 1
                 row[y] += 1
+        fixed = (a == self.unlabelled) - (p == self.unlabelled)
+        if fixed:
+            unfixed = self.unfixed
+            for w in self.nbrs[u]:
+                unfixed[w] -= fixed
         self.labels[u] = p
-        self.value += delta
 
 
-def _warm_start(model, domain, cap, deadline):
+def _warm_start(cover, deadline):
     """Greedy labelling, delta polish, then tabu search up to the root bound.
 
-    ``cap`` holds the per-node root contributions (see :class:`_Cover`).
-
-    Returns the best portfolio indices, their objective and whether the
-    clock cut the work short.  Everything but the cut is decided by the
-    model alone: the tabu phase draws from an RNG seeded by the model's size
-    and stops after a fixed number of moves that do not improve on the best
-    labelling.
+    Labels every node of the unlabelled ``cover``.  Returns the best
+    portfolio indices, their objective and whether the clock cut the work
+    short.  Everything but the cut is decided by the model alone: the tabu
+    phase draws from an RNG seeded by the model's size and stops after a
+    fixed number of moves that do not improve on the best labelling.
     """
-    labels = _greedy(model.closed_neighbourhoods, domain, model.n)
-    cover = _Cover(model, domain, labels, cap)
+    _greedy(cover)
     if not _polish(cover, deadline):
-        return cover.labels, cover.value, True
-    rng = random.Random(model.node_count * 7919 + model.n)
-    return _tabu(cover, deadline, rng, 100 * model.node_count)
+        return cover.labels, cover.value(), True
+    nc = len(cover.labels)
+    rng = random.Random(nc * 7919 + cover.n)
+    return _tabu(cover, deadline, rng, 100 * nc)
 
 
-def _polish(cover, deadline, max_rounds=20):
+_POLISH_ROUNDS = 20
+
+
+def _polish(cover, deadline):
     """Single-node relabellings until no move improves the objective.
 
     Moves are tried node by node, portfolio by portfolio in domain order,
-    and the first improving one is kept.  Returns False when the deadline
-    passed first.
+    and the first improving one is kept, for at most ``_POLISH_ROUNDS``
+    passes.  Returns False when the deadline passed first.
     """
-    portfolios = range(len(cover.means))
-    for _ in range(max_rounds):
+    portfolios = range(cover.unlabelled)
+    for _ in range(_POLISH_ROUNDS):
         improved = False
         for v in range(len(cover.labels)):
             if time.perf_counter() >= deadline:
                 return False
             for p in portfolios:
-                d = cover.delta(v, p)
-                if d > 0:
-                    cover.move(v, p, d)
+                if cover.delta(v, p) > 0:
+                    cover.move(v, p)
                     improved = True
         if not improved:
             break
@@ -541,26 +508,29 @@ def _polish(cover, deadline, max_rounds=20):
 def _tabu(cover, deadline, rng, patience):
     """Tabu search over single relabellings that repair deficient nodes.
 
-    Each step picks a node below its cap at random and applies the best
-    move that gives a node of its closed neighbourhood a portfolio holding
-    one of its missing means (portfolios in domain order), ties broken at
-    random.  A moved node stays fixed for a few steps unless moving it again
-    beats the best labelling seen.  Stops at the sum of the caps (the root
-    bound), after ``patience`` steps without a new best, or at the deadline.
-    Returns the best labels, their objective and whether the deadline was
-    the reason to stop.
+    Each step picks a node below its root cap at random and applies the
+    best move that gives a node of its closed neighbourhood a portfolio
+    holding one of its missing means (portfolios in domain order), ties
+    broken at random.  A moved node stays fixed for a few steps unless
+    moving it again beats the best labelling seen.  Stops at the sum of the
+    root caps (the root bound), after ``patience`` steps without a new best,
+    or at the deadline.  Returns the best labels, their objective and
+    whether the deadline was the reason to stop.
     """
     n, nbrs, cc = cover.n, cover.nbrs, cover.cc
+    # a node is deficient while it contributes less than its root cap
+    cap, root_cap, delta = cover.cap, cover.root_cap, cover.delta
     # candidate portfolios per set of missing means, filled as met
     holding = {}
     nc = len(cover.labels)
-    target = sum(cover.cap)
-    deficient = [v for v in range(nc) if cover.deficient(v)]
+    target = sum(root_cap)
+    deficient = [v for v in range(nc) if cap(v) < root_cap[v]]
     slot = [-1] * nc
     for k, v in enumerate(deficient):
         slot[v] = k
     tabu_until = [0] * nc
-    best_labels, best = list(cover.labels), cover.value
+    value = best = cover.value()
+    best_labels = list(cover.labels)
     step = stall = 0
     while deficient and best < target and stall < patience:
         if (step & 0x3F) == 0 and time.perf_counter() >= deadline:
@@ -577,9 +547,10 @@ def _tabu(cover, deadline, rng, patience):
             ]
         moves, top = [], None
         for w in nbrs[v]:
+            tabu = tabu_until[w] >= step
             for p in candidates:
-                d = cover.delta(w, p)
-                if tabu_until[w] >= step and cover.value + d <= best:
+                d = delta(w, p)
+                if tabu and value + d <= best:
                     continue
                 if top is None or d > top:
                     moves, top = [(w, p)], d
@@ -588,10 +559,11 @@ def _tabu(cover, deadline, rng, patience):
         if not moves:
             continue
         w, p = moves[rng.randrange(len(moves))]
-        cover.move(w, p, top)
+        cover.move(w, p)
+        value += top
         tabu_until[w] = step + 2 + rng.randrange(8)
         for x in nbrs[w]:
-            bad = cover.deficient(x)
+            bad = cap(x) < root_cap[x]
             if bad and slot[x] < 0:
                 slot[x] = len(deficient)
                 deficient.append(x)
@@ -601,6 +573,6 @@ def _tabu(cover, deadline, rng, patience):
                     deficient[slot[x]] = last
                     slot[last] = slot[x]
                 slot[x] = -1
-        if cover.value > best:
-            best_labels, best, stall = list(cover.labels), cover.value, 0
+        if value > best:
+            best_labels, best, stall = list(cover.labels), value, 0
     return best_labels, best, False

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from udgpart import cli, ilp
 from udgpart.cli import main
 from udgpart.graphs import GeometricGraph
 
@@ -215,6 +216,31 @@ class TestCheck:
             main(["check", "--graph", src, "--report", str(report)])
         assert exc.value.code == 2
 
+    def test_large_cost_report_is_checked_without_the_domain(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # n=40 unit costs span 2^40 candidate subsets; check tests each
+        # node's means against the capacity rule instead of enumerating them
+        def enumerate_domain(*args, **kwargs):
+            raise AssertionError("check enumerated the portfolio domain")
+
+        monkeypatch.setattr(ilp, "portfolio_domain", enumerate_domain)
+        monkeypatch.setattr(cli, "portfolio_domain", enumerate_domain, raising=False)
+        src = write_graph(tmp_path / "g.json", complete_graph(3))
+        costs = [0.5, 0.5, 1.0, 0.3, 0.3] + [0.9] * 35
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps({
+            "n": 40,
+            "capacity": {"mode": "cost", "costs": costs},
+            "assignment": {"0": [1, 2], "1": [3], "2": [4, 5]},
+            "errors": {"miss_cov": 3 * 35, "inc_nodes": 3},
+        }))
+        code, summary = run_cli(capsys, "check", "--graph", src, "--report", str(report))
+        assert code == 1
+        assert summary["problems"] == [
+            "node 2 holds [4, 5], not a portfolio its capacity admits"
+        ]
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -325,8 +351,16 @@ class TestExperiment:
             [1],
             {"rows": [{"n_nodes": 20, "deg_exp": 4}], "partition_sizes": 3},
             {"rows": [{"deg_exp": 4, "lambda": 0.12, "r_tr": 0.30}]},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "partition_sizes": [0]},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "partition_sizes": ["3"]},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "partition_sizes": [3.5]},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "partition_sizes": [True]},
         ],
-        ids=["non-object", "scalar-partition-sizes", "lambda-row-without-n_nodes"],
+        ids=[
+            "non-object", "scalar-partition-sizes", "lambda-row-without-n_nodes",
+            "zero-partition-size", "string-partition-size", "fractional-partition-size",
+            "boolean-partition-size",
+        ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, config):
         cfg = tmp_path / "config.json"

@@ -1,9 +1,15 @@
 import hashlib
+import itertools
+import random
 
 import pytest
 
 from udgpart.ilp import (
+    CAP_COST,
+    CAP_EXACTLY_ONE,
+    CAP_FIXED_K,
     PartitionAssignment,
+    admissible,
     build_cost_based,
     build_domatic_feasibility,
     build_fixed_k,
@@ -11,6 +17,7 @@ from udgpart.ilp import (
     build_optimal_soft,
     build_soft_variant,
     export_lp,
+    portfolio_domain,
 )
 from udgpart.metrics import prepare_graph
 from udgpart.seeds import degree_seed
@@ -30,6 +37,40 @@ class TestAssignment:
     def test_label_round_trip(self):
         a = PartitionAssignment.from_labels([1, 3, 2], 3)
         assert a.labels() == (1, 3, 2)
+
+
+def _cost_vectors(n):
+    """Cost vectors with many, few and no admissible subsets."""
+    rng = random.Random(n)
+    steps = (0.1, 0.2, 0.25, 0.3, 0.5, 0.6, 0.7, 0.75, 1.0)
+    yield (1.0 / n,) * n
+    yield (0.5,) * n
+    yield (0.9,) * n
+    for _ in range(6):
+        yield tuple(rng.choice(steps) for _ in range(n))
+
+
+class TestAdmissible:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_admits_exactly_the_domain(self, n):
+        means = range(1, n + 1)
+        subsets = [
+            frozenset(c) for r in range(n + 1) for c in itertools.combinations(means, r)
+        ]
+        rules = [(CAP_EXACTLY_ONE, None, None)]
+        rules += [(CAP_FIXED_K, k, None) for k in means]
+        rules += [(CAP_COST, None, costs) for costs in _cost_vectors(n)]
+        for capacity, k, costs in rules:
+            domain = portfolio_domain(n, capacity, k, costs)
+            assert len(set(domain)) == len(domain)
+            admitted = {s for s in subsets if admissible(s, n, capacity, k, costs)}
+            assert admitted == set(domain)
+            assert not admissible(frozenset((0,)), n, capacity, k, costs)
+            assert not admissible(frozenset((n + 1,)), n, capacity, k, costs)
+
+    def test_unknown_capacity_mode_raises(self):
+        with pytest.raises(ValueError):
+            admissible(frozenset((1,)), 3, "all-of-them")
 
 
 class TestFeasibilityModel:

@@ -40,8 +40,15 @@ def domain_of(m):
 
 
 def root_caps(m):
-    """Per-node root contributions of the search, the warm start's caps."""
-    return _Search(m, domain_of(m), SolveLimits()).contrib
+    """Per-node caps of the empty labelling, the search's root contributions."""
+    return _Cover(m, domain_of(m)).root_cap
+
+
+def labelled(cover, labels):
+    """``cover`` with node u fixed to portfolio index ``labels[u]``."""
+    for u, p in enumerate(labels):
+        _Cover.move(cover, u, p)
+    return cover
 
 
 class TestPortfolioDomain:
@@ -427,21 +434,71 @@ def test_exactly_one_solves_match_recorded(
     assert hashlib.sha256(assignment.encode()).hexdigest()[:16] == digest
 
 
+# Explored nodes of the search alone, recorded before the search shared the
+# warm start's cover counts: one row per graph, in the program order of
+# test_search_alone_matches_oracle_and_recorded_path.
+_DFS_EXPLORED = [
+    (10, 10, 10, 117, 25, 61, 42),
+    (1, 1, 2, 29, 21, 22, 16),
+    (10, 10, 10, 89, 33, 58, 40),
+    (8, 8, 8, 81, 41, 40, 28),
+    (1, 1, 2, 53, 41, 28, 20),
+    (1, 1, 2, 25, 21, 16, 12),
+    (1, 1, 2, 73, 29, 49, 34),
+    (1, 1, 2, 85, 53, 40, 28),
+]
+
+
+@pytest.mark.parametrize("trial", range(len(_DFS_EXPLORED)))
+def test_search_alone_matches_oracle_and_recorded_path(trial):
+    # the warm start proves almost every instance before a node is branched
+    # on, so the search runs here by itself, without an incumbent
+    g = _random_lambda_udg(trial + 600, lo=6, hi=8)
+    programs = (
+        build_domatic_feasibility(g, 2),
+        build_fixed_k(g, 3, 2),
+        build_cost_based(g, 3, _COSTS),
+        build_optimal_soft(g, 4),
+        build_maximal_soft(g, 4),
+        build_soft_variant(g, 3, "optimal", k=2),
+        build_soft_variant(g, 3, "maximal", costs=_COSTS),
+    )
+    explored = []
+    for m in programs:
+        search = _Search(m, domain_of(m), SolveLimits())
+        search.run(60)
+        assert not (search.timed_out or search.node_limited)
+        oracle = brute_force(m)
+        if search.incumbent_row is None:
+            assert oracle.status == "infeasible"
+        else:
+            assert oracle.status == "optimal"
+            assert search.incumbent_val == oracle.objective
+            assignment = PartitionAssignment(
+                tuple(domain_of(m)[p] for p in search.incumbent_row), m.n
+            )
+            values = m.assignment_to_values(assignment)
+            assert m.violated_constraints(values) == []
+            assert m.objective_value(values) == oracle.objective
+        explored.append(search.explored)
+    assert tuple(explored) == _DFS_EXPLORED[trial]
+
+
 class _CheckedCover(_Cover):
     """Cover whose every applied move is recounted from scratch."""
 
-    def __init__(self, model, domain, labels, cap):
-        super().__init__(model, domain, labels, cap)
+    def __init__(self, model, domain):
+        super().__init__(model, domain)
         self.model = model
         self.domain = domain
         self.moves = self.wide_moves = 0
 
-    def move(self, u, p, delta):
+    def move(self, u, p):
         swap = self.swap[self.labels[u]][p][0] >= 0
-        super().move(u, p, delta)
+        super().move(u, p)
         self.moves += 1
         self.wide_moves += not swap
-        assert self.value == _recount(self.model, self.domain, self.labels)
+        assert self.value() == _recount(self.model, self.domain, self.labels)
 
 
 def _recount(model, domain, labels):
@@ -483,8 +540,8 @@ class TestCoverDeltas:
             for m in _cover_programs(g):
                 domain, caps = domain_of(m), root_caps(m)
                 target = sum(caps)
-                cover = _CheckedCover(m, domain, [0] * g.node_count, caps)
-                assert cover.value == _recount(m, domain, cover.labels)
+                cover = labelled(_CheckedCover(m, domain), [0] * g.node_count)
+                assert cover.value() == _recount(m, domain, cover.labels)
                 assert _polish(cover, float("inf"))
                 polish_moves += cover.moves
                 cover.moves = 0
@@ -505,12 +562,17 @@ class TestCoverDeltas:
             for m in _cover_programs(g):
                 domain = domain_of(m)
                 start = [rng.randrange(len(domain)) for _ in range(g.node_count)]
-                cover = _Cover(m, domain, start, root_caps(m))
+                cover = labelled(_Cover(m, domain), start)
                 for _ in range(40):
                     u, p = rng.randrange(g.node_count), rng.randrange(len(domain))
                     d = cover.delta(u, p)
                     labels = list(cover.labels)
                     labels[u] = p
-                    assert cover.value + d == _recount(m, domain, labels)
-                    cover.move(u, p, d)
-                    assert cover.value == _recount(m, domain, cover.labels)
+                    assert cover.value() + d == _recount(m, domain, labels)
+                    cover.move(u, p)
+                    assert cover.value() == _recount(m, domain, cover.labels)
+                # unfixing every node returns the cover to the empty labelling
+                for u in range(g.node_count):
+                    cover.move(u, cover.unlabelled)
+                assert cover.cc == [[0] * m.n for _ in range(g.node_count)]
+                assert [cover.cap(v) for v in range(g.node_count)] == cover.root_cap
