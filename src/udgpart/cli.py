@@ -33,7 +33,6 @@ from .ilp import (
     CAP_COST,
     CAP_EXACTLY_ONE,
     CAP_FIXED_K,
-    CAPACITY_MODES,
     PartitionAssignment,
     _validate_costs,
     _validate_k,
@@ -356,10 +355,9 @@ def _report_capacity(doc, n, parser, path):
         parser.error(f"report {path}: capacity must be an object, got {cap!r}")
     mode = cap.get("mode", CAP_EXACTLY_ONE)
     try:
-        if mode not in CAPACITY_MODES:
-            raise ValueError(f"unknown capacity mode {mode!r}")
         k = _validate_k(cap.get("k"), n) if mode == CAP_FIXED_K else None
         costs = _validate_costs(cap.get("costs"), n) if mode == CAP_COST else None
+        admissible((), n, mode, k, costs)  # raises on an unknown mode
     except ValueError as exc:
         parser.error(f"report {path}: {exc}")
     return lambda means: admissible(means, n, mode, k, costs)

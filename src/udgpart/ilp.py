@@ -22,7 +22,6 @@ KIND_MAXIMAL_SOFT = "maximal-soft"
 CAP_EXACTLY_ONE = "exactly-one"
 CAP_FIXED_K = "fixed-k"
 CAP_COST = "cost"
-CAPACITY_MODES = (CAP_EXACTLY_ONE, CAP_FIXED_K, CAP_COST)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .ilp import (
     KIND_OPTIMAL_SOFT,
     IlpModel,
     PartitionAssignment,
-    build_optimal_soft,
+    _closed_neighbourhoods,
     portfolio_domain,
 )
 
@@ -148,7 +148,7 @@ def greedy_incumbent(g: GeometricGraph, n: int) -> PartitionAssignment:
     The policy is identical for both soft objectives.
     """
     domain = portfolio_domain(n, CAP_EXACTLY_ONE)
-    cover = _Cover(build_optimal_soft(g, n), domain)
+    cover = _Cover(_closed_neighbourhoods(g), n, False, domain)
     _greedy(cover)
     return PartitionAssignment(tuple(domain[p] for p in cover.labels), n)
 
@@ -171,12 +171,12 @@ def _greedy(cover):
 class _Search:
     """Depth-first branch and bound over per-node portfolio choices.
 
-    Nodes are fixed on a cover that starts unlabelled; each node contributes
-    its cover cap, so the bound is exact on leaves.
+    Nodes are fixed on ``cover``, which must start unlabelled; each node
+    contributes its cover cap, so the bound is exact on leaves.
     """
 
-    def __init__(self, model, domain, limits):
-        self.cover = _Cover(model, domain)
+    def __init__(self, model, cover, limits):
+        self.cover = cover
         self.limits = limits
         self.feasibility = model.kind == KIND_FEASIBILITY
         # permuting mean labels maps solutions to solutions unless costs
@@ -298,7 +298,9 @@ def solve(model: IlpModel, limits: SolveLimits = SolveLimits()) -> SolveReport:
             STATUS_INFEASIBLE, None, None, None, time.perf_counter() - start, 0
         )
     deadline = start + limits.time_limit
-    cover = _Cover(model, domain)
+    cover = _Cover(
+        model.closed_neighbourhoods, model.n, model.kind != KIND_OPTIMAL_SOFT, domain
+    )
     root_bound = sum(cover.root_cap)
     feasibility = model.kind == KIND_FEASIBILITY
 
@@ -319,7 +321,10 @@ def solve(model: IlpModel, limits: SolveLimits = SolveLimits()) -> SolveReport:
             row, value = labels, 0.0 if feasibility else warm
 
     if not interrupted and not solved:
-        search = _Search(model, domain, limits)
+        # the search fixes nodes on the same cover, from the empty labelling
+        for u in range(model.node_count):
+            cover.move(u, cover.unlabelled)
+        search = _Search(model, cover, limits)
         search.incumbent_row, search.incumbent_val = row, value
         search.run(max(deadline - time.perf_counter(), 1e-3))
         interrupted = search.timed_out or search.node_limited
@@ -362,16 +367,18 @@ class _Cover:
     counts the nodes of N[v] holding mean i+1, ``distinct[v]`` the means
     N[v] sees and ``unfixed[v]`` its unlabelled nodes, so fixing, unfixing
     or relabelling a node is evaluated and applied in O(deg) per changed
-    mean.  ``value()`` is the model's soft objective; a feasibility program
-    is scored as maximal-soft, so a value of |V| means every cover
-    constraint holds.  A new cover has every node unlabelled, and its caps
-    ``root_cap`` sum to the root bound.
+    mean.  ``value()`` is the soft objective over the closed neighbourhoods
+    ``nbrs``: the nodes that see all n means if ``maximal``, else the means
+    seen summed over nodes.  A feasibility program is scored as
+    maximal-soft, so a value of |V| means every cover constraint holds.  A
+    new cover has every node unlabelled, and its caps ``root_cap`` sum to
+    the root bound.
     """
 
-    def __init__(self, model, domain):
-        self.n = n = model.n
-        self.nbrs = model.closed_neighbourhoods
-        self.maximal = model.kind != KIND_OPTIMAL_SOFT
+    def __init__(self, nbrs, n, maximal, domain):
+        self.n = n
+        self.nbrs = nbrs
+        self.maximal = maximal
         # each portfolio's means as sorted 0-based indices
         self.means = means = [tuple(i - 1 for i in sorted(p)) for p in domain] + [()]
         self.unlabelled = len(domain)
@@ -385,9 +392,8 @@ class _Cover:
             for row in self.diff
         ]
         self.smax = max(map(len, means))
-        held = {i for ms in means for i in ms}
-        self.possible = [i in held for i in range(n)]
-        self.reach_all = len(held) == n
+        # the means some portfolio holds: a node can see no other
+        self.reach = len({i for ms in means for i in ms})
         self.labels = [self.unlabelled] * len(self.nbrs)
         self.cc = [[0] * n for _ in self.nbrs]
         self.distinct = [0] * len(self.nbrs)
@@ -405,13 +411,9 @@ class _Cover:
         d, u = self.distinct[v], self.unfixed[v]
         if not u:
             return int(d == self.n) if self.maximal else d
-        n = self.n
-        reach = n if self.reach_all else sum(
-            1 for c, ok in zip(self.cc[v], self.possible) if c or ok
-        )
         if self.maximal:
-            return int(reach == n and d + self.smax * u >= n)
-        return min(reach, d + self.smax * u)
+            return int(self.reach == self.n and d + self.smax * u >= self.n)
+        return min(self.reach, d + self.smax * u)
 
     def delta(self, u, p):
         """Change of ``value()`` by relabelling node u with portfolio ``p``."""

@@ -39,9 +39,14 @@ def domain_of(m):
     return portfolio_domain(m.n, m.capacity, m.k, m.costs)
 
 
+def cover_args(m):
+    """What a cover of model ``m`` is built from, as ``solve`` builds it."""
+    return m.closed_neighbourhoods, m.n, m.kind != "optimal-soft", domain_of(m)
+
+
 def root_caps(m):
     """Per-node caps of the empty labelling, the search's root contributions."""
-    return _Cover(m, domain_of(m)).root_cap
+    return _Cover(*cover_args(m)).root_cap
 
 
 def labelled(cover, labels):
@@ -243,6 +248,34 @@ class TestSolve:
         m = build_cost_based(P2, 3, (0.6, 0.7, 0.9))
         r = solve(m)
         assert r.status == "infeasible"
+
+    @pytest.mark.parametrize(
+        "costs, reach", [((0.5, 0.5, 0.7), 2), ((0.25, 0.75, 0.5, 0.5, 0.9), 4)]
+    )
+    def test_mean_in_no_portfolio_caps_the_bound(self, costs, reach):
+        # the last mean is in no admissible portfolio, so no node can see it:
+        # maximal-soft and feasibility caps are 0, optimal-soft ones at most
+        # the means some portfolio holds
+        n = len(costs)
+        for trial in range(3):
+            g = _random_lambda_udg(trial + 700, lo=4, hi=7)
+            for m in (
+                build_soft_variant(g, n, "optimal", costs=costs),
+                build_soft_variant(g, n, "maximal", costs=costs),
+                build_cost_based(g, n, costs),
+            ):
+                caps = root_caps(m)
+                assert caps == (
+                    [min(reach, 2 * len(nb)) for nb in m.closed_neighbourhoods]
+                    if m.kind == "optimal-soft" else [0] * g.node_count
+                )
+                oracle = brute_force(m)
+                r = solve(m, SolveLimits(time_limit=30))
+                assert (r.status, r.objective) == (oracle.status, oracle.objective)
+                search = _Search(m, _Cover(*cover_args(m)), SolveLimits())
+                search.run(30)
+                assert search.incumbent_val == oracle.objective
+                assert oracle.objective is None or oracle.objective <= sum(caps)
 
     def test_fixed_k_equals_n_perfect(self):
         g = cycle_graph(6)
@@ -465,7 +498,7 @@ def test_search_alone_matches_oracle_and_recorded_path(trial):
     )
     explored = []
     for m in programs:
-        search = _Search(m, domain_of(m), SolveLimits())
+        search = _Search(m, _Cover(*cover_args(m)), SolveLimits())
         search.run(60)
         assert not (search.timed_out or search.node_limited)
         oracle = brute_force(m)
@@ -487,10 +520,10 @@ def test_search_alone_matches_oracle_and_recorded_path(trial):
 class _CheckedCover(_Cover):
     """Cover whose every applied move is recounted from scratch."""
 
-    def __init__(self, model, domain):
-        super().__init__(model, domain)
+    def __init__(self, model):
         self.model = model
-        self.domain = domain
+        self.domain = domain_of(model)
+        super().__init__(*cover_args(model))
         self.moves = self.wide_moves = 0
 
     def move(self, u, p):
@@ -540,7 +573,7 @@ class TestCoverDeltas:
             for m in _cover_programs(g):
                 domain, caps = domain_of(m), root_caps(m)
                 target = sum(caps)
-                cover = labelled(_CheckedCover(m, domain), [0] * g.node_count)
+                cover = labelled(_CheckedCover(m), [0] * g.node_count)
                 assert cover.value() == _recount(m, domain, cover.labels)
                 assert _polish(cover, float("inf"))
                 polish_moves += cover.moves
@@ -562,7 +595,7 @@ class TestCoverDeltas:
             for m in _cover_programs(g):
                 domain = domain_of(m)
                 start = [rng.randrange(len(domain)) for _ in range(g.node_count)]
-                cover = labelled(_Cover(m, domain), start)
+                cover = labelled(_Cover(*cover_args(m)), start)
                 for _ in range(40):
                     u, p = rng.randrange(g.node_count), rng.randrange(len(domain))
                     d = cover.delta(u, p)
