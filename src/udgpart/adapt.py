@@ -8,6 +8,7 @@ consumers can tell them from plain unit-disk edges.
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,45 +154,132 @@ def thin_to_degree(
     uniformly at random.  Edges whose removal would disconnect the graph or
     create a new bridge are only skipped for the round in which they would;
     they stay candidates for later rounds.
+
+    Both tests are local to the drawn edge {u, v}: with it removed, u and v
+    are joined by no path exactly when it is a bridge, and by exactly one
+    edge-disjoint path exactly when its removal creates a bridge (every new
+    bridge separates u from v).  The rounds run on one working edge list and
+    adjacency; the graph value is built once, at the end.
     """
     if deg_target < 0:
         raise ValueError("deg_target must be >= 0")
-    if g.node_count and deg_target > g.avg_degree:
+    if g.node_count == 0:
+        return g
+    if deg_target > g.avg_degree:
         raise ValueError(
             f"deg_target {deg_target} above current average degree {g.avg_degree}"
         )
+    if g.avg_degree == deg_target:
+        return g
     if rng is None:
         rng = np.random.default_rng(0)
-    while g.avg_degree > deg_target:
-        bridges = set(g.bridges)
-        banned = set()
+    edges, nodes = g.edges, g.node_count
+    lengths = [g.edge_length(*e) for e in edges]
+    weights = None
+    if strategy.mode == "length-weighted-random":
+        weights = np.array([length**strategy.exponent for length in lengths])
+    # paths to count: 2 tells "no path", "one path" and "more" apart
+    limit = 2 if strategy.forbid_new_bridges else int(strategy.forbid_disconnect)
+    adj = [set(g.neighbours(v)) for v in range(nodes)]
+    alive = np.ones(len(edges), dtype=bool)
+    count = len(edges)
+    while 2.0 * count / nodes > deg_target:
+        candidate = alive.copy()
         while True:
-            pool = [e for e in g.edges if e not in banned]
-            if not pool:
+            pool = np.flatnonzero(candidate)
+            if not len(pool):
                 raise TargetUnreachableError(
-                    f"average degree {g.avg_degree:.3f} still above {deg_target} "
+                    f"average degree {2.0 * count / nodes:.3f} still above {deg_target} "
                     "with no removable edge left"
                 )
-            edge = _pick_edge(g, pool, strategy, rng)
-            if strategy.forbid_disconnect and edge in bridges:
-                banned.add(edge)
+            k = _pick_edge(pool, edges, lengths, weights, strategy, rng)
+            u, v = edges[k]
+            adj[u].remove(v)
+            adj[v].remove(u)
+            paths = _edge_connectivity(adj, u, v, limit)
+            if (strategy.forbid_disconnect and paths == 0) or (
+                strategy.forbid_new_bridges and paths == 1
+            ):
+                adj[u].add(v)
+                adj[v].add(u)
+                candidate[k] = False
                 continue
-            reduced = g.without_edge(*edge)
-            if strategy.forbid_new_bridges and not bridges.issuperset(reduced.bridges):
-                banned.add(edge)
-                continue
-            g = reduced
+            alive[k] = False
+            count -= 1
             break
-    return g
+    kept = np.flatnonzero(alive)
+    return GeometricGraph(
+        positions=g.positions,
+        edges=tuple(edges[k] for k in kept),
+        r_tr=g.r_tr,
+        lam=g.lam,
+        edge_tags=tuple(g.edge_tags[k] for k in kept),
+    )
 
 
-def _pick_edge(g, pool, strategy, rng):
+def _pick_edge(pool, edges, lengths, weights, strategy, rng):
+    """Index of the edge drawn from ``pool``, an index array in edge order."""
     if strategy.mode == "longest-first":
-        return max(pool, key=lambda e: (g.edge_length(*e), (-e[0], -e[1])))
+        return max(pool, key=lambda k: (lengths[k], (-edges[k][0], -edges[k][1])))
     if strategy.mode == "uniform-random":
         return pool[int(rng.integers(len(pool)))]
-    weights = np.array([g.edge_length(*e) ** strategy.exponent for e in pool])
-    total = weights.sum()
+    drawn = weights[pool]
+    total = drawn.sum()
     if total <= 0:
         return pool[int(rng.integers(len(pool)))]
-    return pool[int(rng.choice(len(pool), p=weights / total))]
+    return pool[int(rng.choice(len(pool), p=drawn / total))]
+
+
+def _edge_connectivity(adj, u, v, limit):
+    """The number of edge-disjoint u-v paths in ``adj``, counted up to ``limit`` <= 2.
+
+    Unit-capacity max flow: one augmenting-path search per path.  The first
+    path's arcs carry flow, so the second search may cross its edges only
+    backwards; no third search runs, so the second path's flow is not kept.
+    """
+    flow = set()  # arcs (a, b) of the first path, directed from u to v
+    for found in range(limit):
+        path = _augmenting_path(adj, flow, u, v)
+        if path is None:
+            return found
+        flow.update(path)
+    return limit
+
+
+def _augmenting_path(adj, flow, u, v):
+    """Arcs of a u-v path that uses no arc in ``flow``, or None if there is none.
+
+    One search tree grows from u and one from v, a node of each in turn,
+    until they share a node.  A short path is found next to u and v, and a
+    failed search stops when the smaller side of the cut is used up.
+    """
+    trees = ({u: None}, {v: None})
+    queues = (deque([u]), deque([v]))
+    side = 0
+    while queues[0] and queues[1]:
+        tree, other = trees[side], trees[1 - side]
+        a = queues[side].popleft()
+        for b in adj[a]:
+            if b in tree or ((a, b) if side == 0 else (b, a)) in flow:
+                continue
+            tree[b] = a
+            if b in other:
+                return _tree_path(trees, b)
+            queues[side].append(b)
+        side = 1 - side
+    return None
+
+
+def _tree_path(trees, meet):
+    """Arcs of the path u -> meet -> v through the two search trees."""
+    from_u, to_v = trees
+    arcs = []
+    b = meet
+    while from_u[b] is not None:
+        arcs.append((from_u[b], b))
+        b = from_u[b]
+    a = meet
+    while to_v[a] is not None:
+        arcs.append((a, to_v[a]))
+        a = to_v[a]
+    return arcs

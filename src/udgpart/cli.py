@@ -149,15 +149,18 @@ def _cmd_adapt(args, parser):
             g = eliminate_bridges(g)
             applied.append("debridge")
         if args.thin_to is not None:
-            strategy = ThinningStrategy(
-                mode=args.strategy,
-                exponent=args.exponent,
-                forbid_disconnect=not args.allow_disconnect,
-                forbid_new_bridges=args.forbid_new_bridges,
-            )
-            g = thin_to_degree(
-                g, args.thin_to, strategy, np.random.default_rng(args.seed)
-            )
+            try:
+                strategy = ThinningStrategy(
+                    mode=args.strategy,
+                    exponent=args.exponent,
+                    forbid_disconnect=not args.allow_disconnect,
+                    forbid_new_bridges=args.forbid_new_bridges,
+                )
+                g = thin_to_degree(
+                    g, args.thin_to, strategy, np.random.default_rng(args.seed)
+                )
+            except ValueError as exc:
+                parser.error(f"cannot thin: {exc}")
             applied.append("thin")
     except (IrreducibleBridgeError, TargetUnreachableError) as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})
@@ -326,7 +329,7 @@ def _experiment_config(path, threads, parser):
                 if key in doc
             },
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         parser.error(f"bad config {path}: {exc}")
 
 

@@ -114,11 +114,11 @@ def place_nodes(params: GeneratorParams, rng=None) -> PlacementResult:
         dy2 = (cell_coord[jlo : jhi + 1] - y) ** 2
         inside = dx2[:, None] + dy2[None, :] < lam2
         block = marks[ilo : ihi + 1, jlo : jhi + 1]
-        row_free[ilo : ihi + 1] -= (inside & (block == 0)).sum(axis=1)
+        row_free[ilo : ihi + 1] -= np.count_nonzero(inside & (block == 0), axis=1)
         # marks saturate at 2; higher multiplicities are irrelevant
-        np.minimum(block + inside.astype(np.uint8), 2, out=block)
-    coverage = float(int((marks >= 2).sum()) / marks.size)
-    unavailable = float(int((marks >= 1).sum()) / marks.size)
+        block += inside & (block < 2)
+    coverage = np.count_nonzero(marks == 2) / marks.size
+    unavailable = np.count_nonzero(marks) / marks.size
     graph = build_udg(placed, r_tr=params.r_tr, lam=params.lam)
     return PlacementResult(
         graph=graph,

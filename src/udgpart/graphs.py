@@ -337,7 +337,7 @@ class GeometricGraph:
                 tags.append(str(entry[2]) if len(entry) > 2 else TAG_UDG)
             r_tr = float(doc["r_tr"])
             lam = float(doc.get("lambda", 0.0))
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed graph document: {exc}") from None
         order = sorted(range(len(edges)), key=lambda k: edges[k])
         return cls(

@@ -82,6 +82,19 @@ class ExperimentConfig:
             raise ValueError("graphs_per_row must be >= 1")
         if not self.seed_rows:
             raise ValueError("seed_rows must not be empty")
+        for row in self.seed_rows:
+            # the generator's and the thinning's own checks, before any graph
+            GeneratorParams(node_count=row.node_count, lam=row.lam, r_tr=row.r_tr)
+            if not row.deg_exp >= 0:
+                raise ValueError(f"deg_exp must be >= 0, got {row.deg_exp}")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not self.partition_sizes:
+            raise ValueError("partition_sizes must not be empty")
+        if not self.objectives:
+            raise ValueError("objectives must not be empty")
         if self.variant not in (VARIANT_THIN, VARIANT_DEBRIDGE_THIN):
             raise ValueError(f"unknown variant {self.variant!r}")
         bad = [o for o in self.objectives if o not in ("optimal", "maximal")]

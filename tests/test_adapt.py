@@ -1,17 +1,22 @@
+import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
 from udgpart.adapt import (
+    THINNING_MODES,
     IrreducibleBridgeError,
     TargetUnreachableError,
     ThinningStrategy,
+    _edge_connectivity,
     connect_components,
     eliminate_bridge_paths,
     eliminate_bridges,
     thin_to_degree,
 )
+from udgpart.generator import GeneratorParams, place_nodes
 from udgpart.graphs import GeometricGraph, build_udg
 
 from test_graphs import complete_graph, cycle_graph, graph_from_edges, path_graph
@@ -220,3 +225,138 @@ class TestThinToDegree:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             ThinningStrategy(mode="by-vibes")
+
+    def test_empty_graph_unchanged(self):
+        g = graph_from_edges(0, [])
+        for target in (0.0, 3.0):
+            assert thin_to_degree(g, target, ThinningStrategy()) is g
+
+
+def reference_thin_to_degree(g, deg_target, strategy, rng):
+    """Thinning as one graph value per step: a whole-graph bridge scan per
+    round and per reduced candidate, which the working-state loop must match
+    draw for draw."""
+    while g.avg_degree > deg_target:
+        bridges = set(g.bridges)
+        banned = set()
+        while True:
+            pool = [e for e in g.edges if e not in banned]
+            if not pool:
+                raise TargetUnreachableError("no removable edge left")
+            edge = reference_pick_edge(g, pool, strategy, rng)
+            if strategy.forbid_disconnect and edge in bridges:
+                banned.add(edge)
+                continue
+            reduced = g.without_edge(*edge)
+            if strategy.forbid_new_bridges and not bridges.issuperset(reduced.bridges):
+                banned.add(edge)
+                continue
+            g = reduced
+            break
+    return g
+
+
+def reference_pick_edge(g, pool, strategy, rng):
+    if strategy.mode == "longest-first":
+        return max(pool, key=lambda e: (g.edge_length(*e), (-e[0], -e[1])))
+    if strategy.mode == "uniform-random":
+        return pool[int(rng.integers(len(pool)))]
+    weights = np.array([g.edge_length(*e) ** strategy.exponent for e in pool])
+    total = weights.sum()
+    if total <= 0:
+        return pool[int(rng.integers(len(pool)))]
+    return pool[int(rng.choice(len(pool), p=weights / total))]
+
+
+def random_udgs(seed, count):
+    """``count`` lambda-UDGs of 10-120 nodes, every other one debridged."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        nodes = rng.randint(10, 120)
+        r_tr = 2.2 * math.sqrt(1.0 / (math.pi * nodes))
+        params = GeneratorParams(
+            node_count=nodes,
+            lam=0.4 * r_tr,
+            r_tr=r_tr,
+            grid_resolution=250,
+            rng_seed=rng.randrange(10**6),
+        )
+        g = place_nodes(params).graph
+        if len(out) % 2:
+            try:
+                g = eliminate_bridges(connect_components(g))
+            except IrreducibleBridgeError:
+                continue
+        if g.edge_count:
+            out.append(g)
+    return out
+
+
+def thin_outcome(fn, g, target, strategy, seed):
+    rng = np.random.default_rng(seed)
+    try:
+        result = fn(g, target, strategy, rng)
+    except TargetUnreachableError:
+        result = TargetUnreachableError
+    return result, rng.bit_generator.state
+
+
+class TestMatchesPerStepThinning:
+    @pytest.mark.parametrize("forbid_new_bridges", [False, True])
+    @pytest.mark.parametrize("forbid_disconnect", [False, True])
+    @pytest.mark.parametrize("mode", THINNING_MODES)
+    def test_same_graph_and_rng_state(self, mode, forbid_disconnect, forbid_new_bridges):
+        strategy = ThinningStrategy(
+            mode=mode,
+            forbid_disconnect=forbid_disconnect,
+            forbid_new_bridges=forbid_new_bridges,
+        )
+        rng = random.Random(len(mode) + 2 * forbid_disconnect + forbid_new_bridges)
+        unreachable = 0
+        for seed, g in enumerate(random_udgs(rng.randrange(10**6), 6)):
+            # targets down to 1 so that some runs end unreachable
+            target = 1.0 + rng.random() * (g.avg_degree - 1.0)
+            got = thin_outcome(thin_to_degree, g, target, strategy, seed)
+            want = thin_outcome(reference_thin_to_degree, g, target, strategy, seed)
+            assert got == want
+            if got[0] is TargetUnreachableError:
+                unreachable += 1
+            else:
+                assert got[0].edge_tags == want[0].edge_tags
+        if forbid_disconnect or forbid_new_bridges:
+            assert unreachable < 6
+
+
+def brute_force_connectivity(g, u, v, limit):
+    """Fewest edges that separate u from v in g without (u, v), capped at ``limit``."""
+    rest = [e for e in g.edges if e != (u, v)]
+    for k in range(limit):
+        for cut in itertools.combinations(rest, k):
+            h = graph_from_edges(g.node_count, set(rest) - set(cut))
+            if not any(u in c and v in c for c in h.connected_components):
+                return k
+    return limit
+
+
+class TestEdgeConnectivity:
+    def test_matches_brute_force_on_every_edge(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            n = rng.randint(2, 8)
+            edges = {
+                (a, b) for a in range(n) for b in range(a + 1, n)
+                if rng.random() < 0.45
+            }
+            g = graph_from_edges(n, edges)
+            bridges = set(g.bridges)
+            for u, v in g.edges:
+                cut = g.without_edge(u, v)
+                adj = [set(cut.neighbours(w)) for w in range(n)]
+                paths = _edge_connectivity(adj, u, v, 2)
+                assert paths == brute_force_connectivity(g, u, v, 2)
+                for limit in (0, 1):
+                    assert _edge_connectivity(adj, u, v, limit) == min(paths, limit)
+                # the rules thinning relies on
+                assert (paths == 0) == ((u, v) in bridges)
+                assert (paths == 1) == (not bridges.issuperset(cut.bridges))

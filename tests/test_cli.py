@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -92,6 +93,13 @@ class TestAdapt:
         )
         assert code == 1
         assert summary["error"] == "IrreducibleBridgeError"
+
+    @pytest.mark.parametrize("flags", [["--thin-to", "5"], ["--thin-to", "1", "--exponent", "nan"]])
+    def test_bad_thinning_is_usage_error(self, tmp_path, flags):
+        src = write_graph(tmp_path / "in.json", star_graph(5))
+        with pytest.raises(SystemExit) as exc:
+            main(["adapt", "--graph", src, *flags, "--out", str(tmp_path / "o.json")])
+        assert exc.value.code == 2
 
 
 class TestPartition:
@@ -355,16 +363,29 @@ class TestExperiment:
             {"rows": [{"n_nodes": 20, "deg_exp": 4}], "partition_sizes": ["3"]},
             {"rows": [{"n_nodes": 20, "deg_exp": 4}], "partition_sizes": [3.5]},
             {"rows": [{"n_nodes": 20, "deg_exp": 4}], "partition_sizes": [True]},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "partition_sizes": []},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "objectives": []},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "max_attempts": 0},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "seed": -1},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "graphs_per_row": math.inf},
+            {"rows": [{"n_nodes": math.inf, "deg_exp": 4}]},
+            {"rows": [{"n_nodes": 0, "deg_exp": 4, "lambda": 0.1, "r_tr": 0.3}]},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4, "lambda": 0.3, "r_tr": 0.2}]},
+            {"rows": [{"n_nodes": 20, "deg_exp": -1, "lambda": 0.1, "r_tr": 0.3}]},
         ],
         ids=[
             "non-object", "scalar-partition-sizes", "lambda-row-without-n_nodes",
             "zero-partition-size", "string-partition-size", "fractional-partition-size",
-            "boolean-partition-size",
+            "boolean-partition-size", "empty-partition-sizes", "empty-objectives",
+            "zero-max-attempts", "negative-seed", "infinite-graphs-per-row",
+            "infinite-n_nodes", "zero-node-row", "lambda-above-r_tr", "negative-deg_exp",
         ],
     )
-    def test_malformed_config_is_usage_error(self, tmp_path, config):
+    def test_malformed_config_is_usage_error(self, tmp_path, config, monkeypatch):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config))
+        # rejected before any graph is generated
+        monkeypatch.setattr(cli, "run_experiment", None)
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert exc.value.code == 2
@@ -383,11 +404,12 @@ class TestGraphLoading:
             {"edges": [[0]]},
             {"edges": [1]},
             {"r_tr": None},
+            {"edges": [[0, math.inf]]},
         ],
         ids=[
             "x-outside", "y-outside", "one-coordinate", "three-coordinates",
             "bare-number-node", "null-coordinate", "one-field-edge", "bare-number-edge",
-            "null-r_tr",
+            "null-r_tr", "infinite-endpoint",
         ],
     )
     def test_malformed_graph_is_usage_error(self, tmp_path, capsys, change):
