@@ -67,18 +67,21 @@ def _load_graph(path, parser):
 
 
 def _cmd_generate(args, parser):
-    if args.lam >= args.rtr:
-        parser.error("--lambda must be smaller than --rtr")
-    params = GeneratorParams(
-        node_count=args.nodes,
-        lam=args.lam,
-        r_tr=args.rtr,
-        grid_resolution=args.grid,
-        rng_seed=args.seed,
-    )
+    try:
+        params = GeneratorParams(
+            node_count=args.nodes,
+            lam=args.lam,
+            r_tr=args.rtr,
+            grid_resolution=args.grid,
+            rng_seed=args.seed,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.require_connected:
         try:
             result = generate_connected(params, max_attempts=args.max_attempts)
+        except ValueError as exc:  # max_attempts < 1, before any placement
+            parser.error(str(exc))
         except UnreachableTargetError as exc:
             _emit(
                 {
@@ -108,14 +111,17 @@ def _cmd_generate(args, parser):
 
 
 def _cmd_seed_search(args, parser):
-    targets = SeedSearchTargets(
-        node_count=args.nodes,
-        deg_target=args.deg,
-        coverage_band=(args.coverage_lo, args.coverage_hi),
-        sample_size=args.samples,
-        max_probes=args.max_probes,
-        grid_resolution=args.grid,
-    )
+    try:
+        targets = SeedSearchTargets(
+            node_count=args.nodes,
+            deg_target=args.deg,
+            coverage_band=(args.coverage_lo, args.coverage_hi),
+            sample_size=args.samples,
+            max_probes=args.max_probes,
+            grid_resolution=args.grid,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         row = seed_search(targets, rng_seed=args.seed)
     except SeedSearchError as exc:
@@ -244,8 +250,12 @@ def _report_payload(g, model, report):
 
 def _cmd_partition(args, parser):
     g = _load_graph(args.graph, parser)
+    try:
+        limits = SolveLimits(time_limit=args.time_limit)
+    except ValueError as exc:
+        parser.error(str(exc))
     model = _build_model(args, g, parser)
-    report = solve(model, SolveLimits(time_limit=args.time_limit))
+    report = solve(model, limits)
     payload = _report_payload(g, model, report)
     if args.out:
         with open(args.out, "w") as fh:

@@ -170,8 +170,14 @@ class SeedSearchTargets:
     grid_resolution: int = 1000
 
     def __post_init__(self):
+        if self.node_count < 1:
+            raise ValueError("node_count must be >= 1")
         if self.sample_size < 1:
             raise ValueError("sample_size must be >= 1")
+        if self.max_probes < 1:
+            raise ValueError("max_probes must be >= 1")
+        if self.grid_resolution < 2:
+            raise ValueError("grid_resolution must be >= 2")
         band = self.deg_band or (self.deg_target, self.deg_target + 0.25)
         object.__setattr__(self, "deg_band", band)
         if not (band[0] <= band[1]) or not (self.coverage_band[0] <= self.coverage_band[1]):

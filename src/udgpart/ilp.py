@@ -11,7 +11,7 @@ exactly-one, exactly-k, or cost-weighted (unit budget).
 import io
 import itertools
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 from .graphs import GeometricGraph
 
@@ -58,16 +58,76 @@ class PartitionAssignment:
 
 @dataclass(frozen=True)
 class IlpModel:
+    """A 0-1 program declared by its kind, capacity rule and neighbourhoods.
+
+    ``variables``, ``constraints`` and ``objective`` (maximisation sense)
+    are derived from that declaration when the model is made, so a model
+    built directly or through :func:`dataclasses.replace` always has the
+    rows its neighbourhoods and capacity rule call for.
+    """
+
     kind: str
     capacity: str
     n: int
-    node_count: int
     closed_neighbourhoods: tuple[tuple[int, ...], ...]
-    variables: tuple[str, ...]
-    constraints: tuple[Constraint, ...]
-    objective: tuple[tuple[int, float], ...] | None  # maximisation sense
     k: int | None = None
     costs: tuple[float, ...] | None = None
+    variables: tuple[str, ...] = field(init=False)
+    constraints: tuple[Constraint, ...] = field(init=False)
+    objective: tuple[tuple[int, float], ...] | None = field(init=False)
+
+    def __post_init__(self):
+        n, nbrs = self.n, self.closed_neighbourhoods
+        nodes, means = range(len(nbrs)), range(1, n + 1)
+        x, y, z = self.x_index, self.y_index, self.z_index
+        # one assign_v row per node: costs (or ones) summing to 1 (or k)
+        coefs = self.costs if self.capacity == CAP_COST else (1.0,) * n
+        bound = float(self.k) if self.capacity == CAP_FIXED_K else 1.0
+        variables = [f"x_{v}_{i}" for v in nodes for i in means]
+        constraints = [
+            Constraint(
+                f"assign_{v}", tuple((x(v, i), coefs[i - 1]) for i in means), "=", bound
+            )
+            for v in nodes
+        ]
+        objective = None
+        if self.kind == KIND_FEASIBILITY:
+            constraints += [
+                Constraint(
+                    f"cover_{v}_{i}", tuple((x(w, i), 1.0) for w in nbrs[v]), ">=", 1.0
+                )
+                for v in nodes
+                for i in means
+            ]
+        else:
+            variables += [f"y_{v}_{i}" for v in nodes for i in means]
+            constraints += [
+                Constraint(
+                    f"cover_{v}_{i}",
+                    ((y(v, i), 1.0),) + tuple((x(w, i), -1.0) for w in nbrs[v]),
+                    "<=",
+                    0.0,
+                )
+                for v in nodes
+                for i in means
+            ]
+            if self.kind == KIND_OPTIMAL_SOFT:
+                objective = tuple((y(v, i), 1.0) for v in nodes for i in means)
+            else:
+                variables += [f"z_{v}" for v in nodes]
+                constraints += [
+                    Constraint(f"full_{v}_{i}", ((z(v), 1.0), (y(v, i), -1.0)), "<=", 0.0)
+                    for v in nodes
+                    for i in means
+                ]
+                objective = tuple((z(v), 1.0) for v in nodes)
+        object.__setattr__(self, "variables", tuple(variables))
+        object.__setattr__(self, "constraints", tuple(constraints))
+        object.__setattr__(self, "objective", objective)
+
+    @property
+    def node_count(self) -> int:
+        return len(self.closed_neighbourhoods)
 
     # -- variable index layout: x block, then y block, then z block --------
 
@@ -137,21 +197,6 @@ def _closed_neighbourhoods(g: GeometricGraph) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _capacity_constraints(n, node_count, x_index, capacity, k, costs):
-    """One ``assign_v`` row per node: costs (or ones) summing to 1 (or k)."""
-    coefs = costs if capacity == CAP_COST else (1.0,) * n
-    bound = float(k) if capacity == CAP_FIXED_K else 1.0
-    return [
-        Constraint(
-            f"assign_{v}",
-            tuple((x_index(v, i), coefs[i - 1]) for i in range(1, n + 1)),
-            "=",
-            bound,
-        )
-        for v in range(node_count)
-    ]
-
-
 def _validate_costs(costs, n):
     try:
         costs = tuple(float(c) for c in costs)
@@ -215,55 +260,7 @@ def _build(g, n, kind, capacity, k=None, costs=None):
         raise ValueError("n must be >= 1")
     if g.node_count < 1:
         raise ValueError("graph must have at least one node")
-    nbrs = _closed_neighbourhoods(g)
-    nc = g.node_count
-    layout = IlpModel(
-        kind=kind, capacity=capacity, n=n, node_count=nc, closed_neighbourhoods=nbrs,
-        variables=(), constraints=(), objective=None, k=k, costs=costs,
-    )
-    x_index, y_index, z_index = layout.x_index, layout.y_index, layout.z_index
-
-    variables = [f"x_{v}_{i}" for v in range(nc) for i in range(1, n + 1)]
-    constraints = _capacity_constraints(n, nc, x_index, capacity, k, costs)
-    objective = None
-
-    if kind == KIND_FEASIBILITY:
-        for v in range(nc):
-            for i in range(1, n + 1):
-                terms = tuple((x_index(w, i), 1.0) for w in nbrs[v])
-                constraints.append(Constraint(f"cover_{v}_{i}", terms, ">=", 1.0))
-    else:
-        variables += [f"y_{v}_{i}" for v in range(nc) for i in range(1, n + 1)]
-        for v in range(nc):
-            for i in range(1, n + 1):
-                terms = ((y_index(v, i), 1.0),) + tuple(
-                    (x_index(w, i), -1.0) for w in nbrs[v]
-                )
-                constraints.append(Constraint(f"cover_{v}_{i}", terms, "<=", 0.0))
-        if kind == KIND_OPTIMAL_SOFT:
-            objective = tuple(
-                (y_index(v, i), 1.0) for v in range(nc) for i in range(1, n + 1)
-            )
-        else:
-            variables += [f"z_{v}" for v in range(nc)]
-            for v in range(nc):
-                for i in range(1, n + 1):
-                    constraints.append(
-                        Constraint(
-                            f"full_{v}_{i}",
-                            ((z_index(v), 1.0), (y_index(v, i), -1.0)),
-                            "<=",
-                            0.0,
-                        )
-                    )
-            objective = tuple((z_index(v), 1.0) for v in range(nc))
-
-    return replace(
-        layout,
-        variables=tuple(variables),
-        constraints=tuple(constraints),
-        objective=objective,
-    )
+    return IlpModel(kind, capacity, n, _closed_neighbourhoods(g), k=k, costs=costs)
 
 
 def build_domatic_feasibility(g: GeometricGraph, n: int) -> IlpModel:

@@ -15,6 +15,7 @@ runs with the time that is left.
 """
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -50,8 +51,8 @@ class SolveLimits:
     node_limit: int | None = None
 
     def __post_init__(self):
-        if self.time_limit <= 0:
-            raise ValueError("time_limit must be positive")
+        if not (math.isfinite(self.time_limit) and self.time_limit > 0):
+            raise ValueError(f"time_limit must be finite and > 0, got {self.time_limit}")
 
 
 @dataclass(frozen=True)
@@ -340,9 +341,11 @@ def solve(model: IlpModel, limits: SolveLimits = SolveLimits()) -> SolveReport:
 
     assignment = PartitionAssignment(tuple(domain[k] for k in row), model.n)
     values = model.assignment_to_values(assignment)
-    if model.violated_constraints(values):
-        return SolveReport(STATUS_ERROR, None, None, None, wall, explored)
     objective = float(value)
+    # the soft auxiliaries take their largest values, so the rows alone
+    # cannot catch a misreported objective
+    if model.violated_constraints(values) or model.objective_value(values) != objective:
+        return SolveReport(STATUS_ERROR, None, None, None, wall, explored)
     if interrupted:
         return SolveReport(
             STATUS_TIME_LIMIT,

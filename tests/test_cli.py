@@ -372,6 +372,9 @@ class TestExperiment:
             {"rows": [{"n_nodes": 0, "deg_exp": 4, "lambda": 0.1, "r_tr": 0.3}]},
             {"rows": [{"n_nodes": 20, "deg_exp": 4, "lambda": 0.3, "r_tr": 0.2}]},
             {"rows": [{"n_nodes": 20, "deg_exp": -1, "lambda": 0.1, "r_tr": 0.3}]},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "time_limit": math.nan},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "time_limit": math.inf},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "time_limit": 0},
         ],
         ids=[
             "non-object", "scalar-partition-sizes", "lambda-row-without-n_nodes",
@@ -379,6 +382,7 @@ class TestExperiment:
             "boolean-partition-size", "empty-partition-sizes", "empty-objectives",
             "zero-max-attempts", "negative-seed", "infinite-graphs-per-row",
             "infinite-n_nodes", "zero-node-row", "lambda-above-r_tr", "negative-deg_exp",
+            "nan-time-limit", "infinite-time-limit", "zero-time-limit",
         ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, config, monkeypatch):
@@ -431,3 +435,48 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--nodes", "5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--nodes", "0", "--lambda", "0.1", "--rtr", "0.3"],
+            ["generate", "--nodes", "5", "--lambda", "0.1", "--rtr", "0.3", "--grid", "1"],
+            ["generate", "--nodes", "5", "--lambda", "-0.1", "--rtr", "0.3"],
+            [
+                "generate", "--nodes", "5", "--lambda", "0.1", "--rtr", "0.3",
+                "--require-connected", "--max-attempts", "0",
+            ],
+            ["seed-search", "--nodes", "20", "--deg", "4", "--samples", "0"],
+            [
+                "seed-search", "--nodes", "20", "--deg", "4",
+                "--coverage-lo", "0.9", "--coverage-hi", "0.8",
+            ],
+            ["seed-search", "--nodes", "20", "--deg", "4", "--grid", "1"],
+            ["seed-search", "--nodes", "0", "--deg", "4"],
+            ["seed-search", "--nodes", "20", "--deg", "4", "--max-probes", "0"],
+            ["partition", "--time-limit", "0"],
+            ["partition", "--time-limit", "-1"],
+            ["partition", "--time-limit", "nan"],
+            ["partition", "--time-limit", "inf"],
+        ],
+        ids=[
+            "generate-zero-nodes", "generate-grid-1", "generate-negative-lambda",
+            "generate-zero-max-attempts", "seed-search-zero-samples",
+            "seed-search-inverted-coverage-band", "seed-search-grid-1",
+            "seed-search-zero-nodes", "seed-search-zero-max-probes",
+            "partition-zero-time-limit", "partition-negative-time-limit",
+            "partition-nan-time-limit", "partition-infinite-time-limit",
+        ],
+    )
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, argv, capsys):
+        if argv[0] == "partition":
+            argv = argv + [
+                "--graph", write_graph(tmp_path / "g.json", complete_graph(3)),
+                "--n", "3", "--objective", "optimal",
+            ]
+        elif argv[0] == "generate":
+            argv = argv + ["--out", str(tmp_path / "out.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -8,6 +9,10 @@ from udgpart.ilp import (
     CAP_COST,
     CAP_EXACTLY_ONE,
     CAP_FIXED_K,
+    KIND_FEASIBILITY,
+    KIND_MAXIMAL_SOFT,
+    KIND_OPTIMAL_SOFT,
+    IlpModel,
     PartitionAssignment,
     admissible,
     build_cost_based,
@@ -208,6 +213,65 @@ class TestSoftModels:
             if m.objective:
                 used |= {i for i, _ in m.objective}
             assert used == set(range(len(m.variables)))
+
+
+# each program as its builder makes it and as its declaration reads:
+# (build, kind, capacity, k, costs)
+PROGRAMS = [
+    (build_domatic_feasibility, KIND_FEASIBILITY, CAP_EXACTLY_ONE, None, None),
+    (lambda g, n: build_fixed_k(g, n, 2), KIND_FEASIBILITY, CAP_FIXED_K, 2, None),
+    (
+        lambda g, n: build_cost_based(g, n, (0.5,) * n),
+        KIND_FEASIBILITY, CAP_COST, None, (0.5,) * 3,
+    ),
+    (build_optimal_soft, KIND_OPTIMAL_SOFT, CAP_EXACTLY_ONE, None, None),
+    (build_maximal_soft, KIND_MAXIMAL_SOFT, CAP_EXACTLY_ONE, None, None),
+    (
+        lambda g, n: build_soft_variant(g, n, "optimal", k=2),
+        KIND_OPTIMAL_SOFT, CAP_FIXED_K, 2, None,
+    ),
+    (
+        lambda g, n: build_soft_variant(g, n, "maximal", costs=(0.5,) * n),
+        KIND_MAXIMAL_SOFT, CAP_COST, None, (0.5,) * 3,
+    ),
+]
+PROGRAM_IDS = [
+    "feasibility", "fixed-k", "cost", "optimal-soft", "maximal-soft",
+    "optimal-soft-fixed-k", "maximal-soft-cost",
+]
+
+
+class TestDeclaration:
+    @pytest.mark.parametrize("program", PROGRAMS, ids=PROGRAM_IDS)
+    def test_direct_model_equals_built_model(self, program):
+        build, kind, capacity, k, costs = program
+        g = cycle_graph(5)
+        nbrs = tuple(tuple(sorted(g.closed_neighbourhood(v))) for v in range(5))
+        m = IlpModel(kind, capacity, 3, nbrs, k=k, costs=costs)
+        assert m == build(g, 3)
+        assert m.node_count == 5
+        assert export_lp(m) == export_lp(build(g, 3))
+
+    @pytest.mark.parametrize("program", PROGRAMS, ids=PROGRAM_IDS)
+    def test_replace_rederives_rows(self, program):
+        build, _, capacity, _, _ = program
+        small, large = star_graph(3), cycle_graph(5)
+        m = build(small, 3)
+        # a cost vector is as long as n
+        grown = {"n": 4, "costs": (0.5,) * 4} if capacity == CAP_COST else {"n": 4}
+        assert dataclasses.replace(m, **grown) == build(small, 4)
+        moved = dataclasses.replace(
+            m, closed_neighbourhoods=build(large, 3).closed_neighbourhoods
+        )
+        assert moved == build(large, 3)
+        assert moved.constraints == build(large, 3).constraints
+
+    @pytest.mark.parametrize(
+        "derived", [{"constraints": ()}, {"node_count": 3}, {"variables": ()}]
+    )
+    def test_derived_values_are_not_constructor_arguments(self, derived):
+        with pytest.raises(TypeError):
+            IlpModel(KIND_FEASIBILITY, CAP_EXACTLY_ONE, 2, ((0, 1), (0, 1)), **derived)
 
 
 class TestLpExport:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from udgpart import solver
 from udgpart.generator import GeneratorParams, place_nodes
 from udgpart.ilp import (
     PartitionAssignment,
@@ -293,6 +294,19 @@ class TestSolve:
             assert r.status == "optimal"
             assert r.objective == r.best_bound == bound
             assert r.explored_nodes == 0
+
+    @pytest.mark.parametrize("build", [build_optimal_soft, build_maximal_soft])
+    def test_misreported_objective_is_an_error(self, build, monkeypatch):
+        # a warm start that claims the root bound for a labelling below it
+        # (every node on mean 1) satisfies every row, since the auxiliaries
+        # take their largest values; only the objective check catches it
+        def claims_root_bound(cover, deadline):
+            for u in range(len(cover.labels)):
+                cover.move(u, 0)
+            return cover.labels, sum(cover.root_cap), False
+
+        monkeypatch.setattr(solver, "_warm_start", claims_root_bound)
+        assert solve(build(cycle_graph(6), 3)).status == "error"
 
 
 @functools.lru_cache(maxsize=None)
