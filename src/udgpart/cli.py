@@ -122,6 +122,8 @@ def _cmd_seed_search(args, parser):
         )
     except ValueError as exc:
         parser.error(str(exc))
+    if args.seed < 0:
+        parser.error("seed must be >= 0")
     try:
         row = seed_search(targets, rng_seed=args.seed)
     except SeedSearchError as exc:

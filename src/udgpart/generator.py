@@ -54,8 +54,10 @@ class GeneratorParams:
     def __post_init__(self):
         if self.node_count < 1:
             raise ValueError("node_count must be >= 1")
-        if not (0.0 < self.lam < self.r_tr):
-            raise ValueError("need 0 < lam < r_tr")
+        if not (0.0 < self.lam < self.r_tr < math.inf):
+            raise ValueError("need 0 < lam < r_tr < inf")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be >= 2")
 
@@ -128,9 +130,7 @@ def place_nodes(params: GeneratorParams, rng=None) -> PlacementResult:
     )
 
 
-def generate_connected(
-    params: GeneratorParams, rng=None, max_attempts: int = 100
-) -> PlacementResult:
+def generate_connected(params: GeneratorParams, max_attempts: int = 100) -> PlacementResult:
     """Repeat placement until a connected graph with the full node count appears.
 
     Raises :class:`UnreachableTargetError` when ``max_attempts`` placements
@@ -139,8 +139,7 @@ def generate_connected(
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(params.rng_seed)
+    rng = np.random.default_rng(params.rng_seed)
     short_placements = 0
     disconnected_placements = 0
     for _ in range(max_attempts):
@@ -163,7 +162,6 @@ def generate_connected(
 class SeedSearchTargets:
     node_count: int
     deg_target: float
-    deg_band: tuple[float, float] | None = None
     coverage_band: tuple[float, float] = (0.75, 0.80)
     sample_size: int = 20
     max_probes: int = 40
@@ -178,25 +176,39 @@ class SeedSearchTargets:
             raise ValueError("max_probes must be >= 1")
         if self.grid_resolution < 2:
             raise ValueError("grid_resolution must be >= 2")
-        band = self.deg_band or (self.deg_target, self.deg_target + 0.25)
-        object.__setattr__(self, "deg_band", band)
-        if not (band[0] <= band[1]) or not (self.coverage_band[0] <= self.coverage_band[1]):
+        deg_lo, deg_hi = self.deg_band
+        if not (deg_lo <= deg_hi) or not (self.coverage_band[0] <= self.coverage_band[1]):
             raise ValueError("bands must be non-empty")
 
+    @property
+    def deg_band(self) -> tuple[float, float]:
+        return (self.deg_target, self.deg_target + 0.25)
 
-def _sample_placements(node_count, lam, r_tr, grid_resolution, sample_size, base_seed):
-    # derived seed per sample keeps probes comparable and reproducible
-    out = []
-    for i in range(sample_size):
-        params = GeneratorParams(
-            node_count=node_count,
-            lam=lam,
-            r_tr=r_tr,
-            grid_resolution=grid_resolution,
-            rng_seed=base_seed + i,
-        )
-        out.append(place_nodes(params))
-    return out
+
+def _bisect(lo, hi, band, probe, probes_left, kind):
+    """Bisect [lo, hi] until the mean that ``probe(x)`` returns lands in ``band``.
+
+    ``probe(x)`` returns ``(mean, sample)`` with the mean growing in x.
+    Returns ``(x, mean, sample, probes_left, best_probe)``; x, mean and sample
+    are None when the probes ran out first.  ``best_probe`` is the
+    ``(gap, kind, x, mean)`` of the probe closest to the band, or None when
+    no probe was left.
+    """
+    best = None
+    while probes_left > 0:
+        probes_left -= 1
+        x = (lo + hi) / 2.0
+        mean, sample = probe(x)
+        gap = max(band[0] - mean, mean - band[1], 0.0)
+        if best is None or gap < best[0]:
+            best = (gap, kind, x, mean)
+        if mean < band[0]:
+            lo = x
+        elif mean > band[1]:
+            hi = x
+        else:
+            return x, mean, sample, probes_left, best
+    return None, None, None, probes_left, best
 
 
 def seed_search(targets: SeedSearchTargets, rng_seed: int = 0) -> SeedTableRow:
@@ -208,35 +220,27 @@ def seed_search(targets: SeedSearchTargets, rng_seed: int = 0) -> SeedTableRow:
     phase bisects a deterministic monotone response.  The probe budget is
     shared across both phases.
     """
-    cov_lo, cov_hi = targets.coverage_band
-    deg_lo, deg_hi = targets.deg_band
-    probes_left = targets.max_probes
-    best = None  # (gap, kind, value, sample stats)
-
     r_guess = 2.0 * math.sqrt(1.0 / (math.pi * targets.node_count))
 
-    lam_lo, lam_hi = 0.0, r_guess
-    lam = None
-    placements = None
-    mean_cov = None
-    while probes_left > 0:
-        probes_left -= 1
-        trial = (lam_lo + lam_hi) / 2.0
-        sample = _sample_placements(
-            targets.node_count, trial, r_guess, targets.grid_resolution,
-            targets.sample_size, rng_seed,
-        )
-        cov = sum(p.coverage for p in sample) / len(sample)
-        gap = max(cov_lo - cov, cov - cov_hi, 0.0)
-        if best is None or gap < best[0]:
-            best = (gap, "lambda", trial, cov)
-        if cov < cov_lo:
-            lam_lo = trial
-        elif cov > cov_hi:
-            lam_hi = trial
-        else:
-            lam, placements, mean_cov = trial, sample, cov
-            break
+    def coverage(lam):
+        # derived seed per sample keeps probes comparable and reproducible
+        sample = [
+            place_nodes(
+                GeneratorParams(
+                    node_count=targets.node_count,
+                    lam=lam,
+                    r_tr=r_guess,
+                    grid_resolution=targets.grid_resolution,
+                    rng_seed=rng_seed + i,
+                )
+            )
+            for i in range(targets.sample_size)
+        ]
+        return sum(p.coverage for p in sample) / len(sample), sample
+
+    lam, mean_cov, placements, probes_left, best = _bisect(
+        0.0, r_guess, targets.coverage_band, coverage, targets.max_probes, "lambda"
+    )
     if lam is None:
         raise SeedSearchError(
             f"coverage band {targets.coverage_band} not reached within "
@@ -244,40 +248,24 @@ def seed_search(targets: SeedSearchTargets, rng_seed: int = 0) -> SeedTableRow:
             best_probe=best,
         )
 
-    def degree_at(r_tr):
-        degs = []
-        for p in placements:
-            g = build_udg(p.graph.positions, r_tr=r_tr, lam=lam)
-            degs.append(g.avg_degree)
-        return sum(degs) / len(degs)
+    def degree(r_tr):
+        built = [build_udg(p.graph.positions, r_tr=r_tr, lam=lam) for p in placements]
+        return sum(g.avg_degree for g in built) / len(built), built
 
+    # widen r_tr until the degree band is in reach; the check that ends the
+    # widening is not charged to the budget
     rt_lo, rt_hi = lam, 4.0 * lam
-    while probes_left > 0 and degree_at(rt_hi) < deg_lo and rt_hi < math.sqrt(2.0):
+    while probes_left > 0 and degree(rt_hi)[0] < targets.deg_band[0] and rt_hi < math.sqrt(2.0):
         probes_left -= 1
         rt_lo, rt_hi = rt_hi, min(2.0 * rt_hi, math.sqrt(2.0))
-    r_tr = None
-    graphs = None
-    mean_deg = None
-    while probes_left > 0:
-        probes_left -= 1
-        trial = (rt_lo + rt_hi) / 2.0
-        built = [build_udg(p.graph.positions, r_tr=trial, lam=lam) for p in placements]
-        deg = sum(g.avg_degree for g in built) / len(built)
-        gap = max(deg_lo - deg, deg - deg_hi, 0.0)
-        if gap < best[0] or best[1] == "lambda":
-            best = (gap, "r_tr", trial, deg)
-        if deg < deg_lo:
-            rt_lo = trial
-        elif deg > deg_hi:
-            rt_hi = trial
-        else:
-            r_tr, graphs, mean_deg = trial, built, deg
-            break
+    r_tr, mean_deg, graphs, _, rt_best = _bisect(
+        rt_lo, rt_hi, targets.deg_band, degree, probes_left, "r_tr"
+    )
     if r_tr is None:
         raise SeedSearchError(
             f"degree band {targets.deg_band} not reached within "
             f"{targets.max_probes} probes",
-            best_probe=best,
+            best_probe=rt_best or best,
         )
 
     # connectivity is a per-graph property, so the fraction is taken over the

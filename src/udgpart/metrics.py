@@ -5,11 +5,12 @@ taken from a solver objective, so a bug anywhere in the model/solver chain
 shows up as a metric identity violation instead of propagating silently.
 """
 
+import contextlib
 import csv
 import numbers
 import os
 import typing
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -89,6 +90,8 @@ class ExperimentConfig:
                 raise ValueError(f"deg_exp must be >= 0, got {row.deg_exp}")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         if self.rng_seed < 0:
             raise ValueError("seed must be >= 0")
         if not self.partition_sizes:
@@ -209,6 +212,10 @@ def solve_task(graph: GeometricGraph, n: int, objective: str, limits: SolveLimit
     )
 
 
+def _solve_packed(task):
+    return solve_task(*task)
+
+
 def _skipped_record(row, variant, graph_id):
     return ResultRecord(
         graph_id=graph_id,
@@ -231,8 +238,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> list
     """Generate, adapt, solve and score the full batch; optionally stream CSVs.
 
     Generation failures become ``skipped`` records instead of aborting.
-    Records stream to ``results.csv`` as they are produced; the aggregate
-    files are written in a second pass over the finished record list.
+    Records stream to ``results.csv`` as they are produced, in the same order
+    for any ``threads``: each skipped record when its graph fails, then the
+    solved cells in row, graph, n and objective order.  The aggregate files
+    are written in a second pass over the finished record list.
     """
     writer = None
     handle = None
@@ -268,14 +277,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> list
                 for objective in config.objectives:
                     tasks.append((graph, n, objective, config.limits, meta))
 
-    if config.threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            futures = [pool.submit(solve_task, *t) for t in tasks]
-            for fut in as_completed(futures):
-                emit(fut.result())
-    else:
-        for t in tasks:
-            emit(solve_task(*t))
+    # both maps keep submission order, so the records do not depend on threads
+    workers = min(config.threads, len(tasks), os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        for record in (pool.map if pool else map)(_solve_packed, tasks):
+            emit(record)
 
     if handle is not None:
         handle.close()

@@ -371,18 +371,21 @@ class TestExperiment:
             {"rows": [{"n_nodes": math.inf, "deg_exp": 4}]},
             {"rows": [{"n_nodes": 0, "deg_exp": 4, "lambda": 0.1, "r_tr": 0.3}]},
             {"rows": [{"n_nodes": 20, "deg_exp": 4, "lambda": 0.3, "r_tr": 0.2}]},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4, "lambda": 0.1, "r_tr": math.inf}]},
             {"rows": [{"n_nodes": 20, "deg_exp": -1, "lambda": 0.1, "r_tr": 0.3}]},
             {"rows": [{"n_nodes": 20, "deg_exp": 4}], "time_limit": math.nan},
             {"rows": [{"n_nodes": 20, "deg_exp": 4}], "time_limit": math.inf},
             {"rows": [{"n_nodes": 20, "deg_exp": 4}], "time_limit": 0},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "threads": 0},
         ],
         ids=[
             "non-object", "scalar-partition-sizes", "lambda-row-without-n_nodes",
             "zero-partition-size", "string-partition-size", "fractional-partition-size",
             "boolean-partition-size", "empty-partition-sizes", "empty-objectives",
             "zero-max-attempts", "negative-seed", "infinite-graphs-per-row",
-            "infinite-n_nodes", "zero-node-row", "lambda-above-r_tr", "negative-deg_exp",
-            "nan-time-limit", "infinite-time-limit", "zero-time-limit",
+            "infinite-n_nodes", "zero-node-row", "lambda-above-r_tr", "infinite-r_tr",
+            "negative-deg_exp", "nan-time-limit", "infinite-time-limit", "zero-time-limit",
+            "zero-threads",
         ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, config, monkeypatch):
@@ -442,6 +445,8 @@ class TestUsageErrors:
             ["generate", "--nodes", "0", "--lambda", "0.1", "--rtr", "0.3"],
             ["generate", "--nodes", "5", "--lambda", "0.1", "--rtr", "0.3", "--grid", "1"],
             ["generate", "--nodes", "5", "--lambda", "-0.1", "--rtr", "0.3"],
+            ["generate", "--nodes", "5", "--lambda", "0.1", "--rtr", "inf"],
+            ["generate", "--nodes", "5", "--lambda", "0.1", "--rtr", "0.3", "--seed", "-1"],
             [
                 "generate", "--nodes", "5", "--lambda", "0.1", "--rtr", "0.3",
                 "--require-connected", "--max-attempts", "0",
@@ -454,6 +459,7 @@ class TestUsageErrors:
             ["seed-search", "--nodes", "20", "--deg", "4", "--grid", "1"],
             ["seed-search", "--nodes", "0", "--deg", "4"],
             ["seed-search", "--nodes", "20", "--deg", "4", "--max-probes", "0"],
+            ["seed-search", "--nodes", "20", "--deg", "4", "--seed", "-1"],
             ["partition", "--time-limit", "0"],
             ["partition", "--time-limit", "-1"],
             ["partition", "--time-limit", "nan"],
@@ -461,9 +467,11 @@ class TestUsageErrors:
         ],
         ids=[
             "generate-zero-nodes", "generate-grid-1", "generate-negative-lambda",
+            "generate-infinite-rtr", "generate-negative-seed",
             "generate-zero-max-attempts", "seed-search-zero-samples",
             "seed-search-inverted-coverage-band", "seed-search-grid-1",
             "seed-search-zero-nodes", "seed-search-zero-max-probes",
+            "seed-search-negative-seed",
             "partition-zero-time-limit", "partition-negative-time-limit",
             "partition-nan-time-limit", "partition-infinite-time-limit",
         ],

@@ -47,12 +47,16 @@ class TestParams:
             GeneratorParams(node_count=5, lam=0.5, r_tr=0.4)
         with pytest.raises(ValueError):
             GeneratorParams(node_count=5, lam=0.0, r_tr=0.4)
+        with pytest.raises(ValueError):
+            GeneratorParams(node_count=5, lam=0.1, r_tr=math.inf)
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             GeneratorParams(node_count=0, lam=0.1, r_tr=0.2)
         with pytest.raises(ValueError):
             GeneratorParams(node_count=5, lam=0.1, r_tr=0.2, grid_resolution=1)
+        with pytest.raises(ValueError):
+            GeneratorParams(node_count=5, lam=0.1, r_tr=0.2, rng_seed=-1)
 
 
 class TestPlaceNodes:
@@ -253,3 +257,57 @@ class TestSeedSearch:
         with pytest.raises(SeedSearchError) as exc:
             seed_search(targets, rng_seed=5)
         assert exc.value.best_probe is not None
+
+
+# (node_count, deg_target, coverage_band, max_probes) -> the accepted row's
+# (lam, r_tr, mean_coverage, mean_avg_degree, p_connected), or the failed
+# phase and the error's best_probe (gap, kind, value, mean); sample_size 3,
+# grid 100, seed 3
+PINNED_SEARCHES = [
+    ((10, 4.0, (0.75, 0.8), 8),
+     (0.33452327177864455, 0.6481388390711238, 0.7594666666666666, 4.0740740740740735, 0.0)),
+    ((20, 4.0, (0.3, 0.35), 20),
+     (0.1537533880606035, 0.3339331396941232, 0.33490000000000003, 4.1000000000000005, 1.0)),
+    ((5, 2.0, (0.3, 0.35), 20),
+     (0.3351035380808025, 0.5864311916414044, 0.3035666666666667, 2.1333333333333333, 1.0)),
+    # lam bisection runs out of probes
+    ((20, 4.0, (0.999, 1.0), 8),
+     ("coverage", 0.2212333333333334, "lambda", 0.2513276535606019, 0.7777666666666666)),
+    # r_tr bisection runs out of probes
+    ((20, 9.0, (0.3, 0.35), 8),
+     ("degree", 0.8333333333333339, "r_tr", 0.4996985111969614, 8.166666666666666)),
+    # the expansion loop spends the last probe; best stays the lam probe
+    ((5, 6.0, (0.3, 0.35), 8),
+     ("degree", 0.0, "lambda", 0.3351035380808025, 0.3035666666666667)),
+    # the lam bisection spends every probe, then accepts
+    ((10, 2.0, (0.75, 0.8), 4),
+     ("degree", 0.0, "lambda", 0.33452327177864455, 0.7594666666666666)),
+    # the expansion check at sqrt(2) is not charged
+    ((10, 9.0, (0.75, 0.8), 8),
+     ("degree", 1.0, "r_tr", 1.3761533247438367, 8.0)),
+    # r_tr bisection against the sqrt(2) cap
+    ((5, 6.0, (0.3, 0.35), 20),
+     ("degree", 2.0, "r_tr", 1.3773138573481525, 4.0)),
+]
+
+
+@pytest.mark.parametrize("case, expected", PINNED_SEARCHES)
+def test_seed_search_matches_recorded(case, expected):
+    node_count, deg_target, coverage_band, max_probes = case
+    targets = SeedSearchTargets(
+        node_count=node_count,
+        deg_target=deg_target,
+        coverage_band=coverage_band,
+        sample_size=3,
+        max_probes=max_probes,
+        grid_resolution=100,
+    )
+    try:
+        row = seed_search(targets, rng_seed=3)
+    except SeedSearchError as exc:
+        phase = str(exc).split()[0]
+        assert (phase, *exc.best_probe) == expected
+    else:
+        assert (
+            row.lam, row.r_tr, row.mean_coverage, row.mean_avg_degree, row.p_connected,
+        ) == expected

@@ -1,10 +1,13 @@
 import csv
 import hashlib
 import io
+import os
 import random
+from dataclasses import replace
 
 import pytest
 
+from udgpart import metrics
 from udgpart.ilp import PartitionAssignment, build_maximal_soft, build_optimal_soft
 from udgpart.metrics import (
     RESULT_COLUMNS,
@@ -259,20 +262,38 @@ class TestExperiment:
             desk_config(variant="SG9")
         with pytest.raises(ValueError):
             desk_config(objectives=("optimal", "weird"))
+        with pytest.raises(ValueError):
+            desk_config(threads=0)
 
     def test_parallel_matches_sequential(self, tmp_path):
         seq = run_experiment(desk_config(graphs_per_row=2))
         par = run_experiment(desk_config(graphs_per_row=2, threads=2))
-        key = lambda r: (r.graph_id, r.n, r.objective)
-        seq_core = {
-            key(r): (r.status, r.objective_value, r.miss_cov, r.inc_nodes)
-            for r in seq
-        }
-        par_core = {
-            key(r): (r.status, r.objective_value, r.miss_cov, r.inc_nodes)
-            for r in par
-        }
-        assert seq_core == par_core
+        untimed = lambda records: [replace(r, wall_time_s=0.0) for r in records]
+        assert untimed(par) == untimed(seq)
+
+    # 8 cells: the worker count is the least of threads, cells and CPUs
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (1000, 8)])
+    def test_worker_count_is_bounded(self, monkeypatch, cpus, workers):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(metrics, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        records = run_experiment(desk_config(graphs_per_row=2, threads=10**6))
+        assert started == [workers]
+        assert len(records) == 2 * 2 * 1 * 2
 
 
 def golden_records():
