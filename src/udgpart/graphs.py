@@ -58,8 +58,10 @@ class GeometricGraph:
                     raise ValueError(f"unknown edge tag {tag!r}")
         else:
             object.__setattr__(self, "edge_tags", (TAG_UDG,) * len(self.edges))
-        if self.lam and self.r_tr and not (0.0 < self.lam < self.r_tr):
-            raise ValueError("need 0 < lam < r_tr when both are set")
+        if not (math.isfinite(self.r_tr) and self.r_tr > 0):
+            raise ValueError(f"r_tr must be finite and > 0, got {self.r_tr}")
+        if self.lam and not (0.0 < self.lam < self.r_tr):
+            raise ValueError("need 0 < lam < r_tr when lam is set")
 
     # -- basic accessors -------------------------------------------------
 
@@ -98,9 +100,6 @@ class GeometricGraph:
 
     def edge_length(self, u: int, v: int) -> float:
         return math.dist(self.positions[u], self.positions[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self._edge_set
 
     @cached_property
     def _edge_set(self) -> frozenset[Edge]:
@@ -320,8 +319,9 @@ class GeometricGraph:
     def from_json_dict(cls, doc: dict) -> "GeometricGraph":
         """Graph from its JSON document; a malformed document raises ValueError.
 
-        Node entries must be (x, y) pairs inside [0,1)^2 and edge entries
-        must name both endpoints.  These checks take O(|V| + |E|); the
+        Node entries must be (x, y) pairs inside [0,1)^2, edge entries must
+        name both endpoints as integers, and ``r_tr`` must be finite and
+        positive.  These checks take O(|V| + |E|); the
         O(|V|^2) pairwise lambda check of :func:`build_udg` is not repeated.
         """
         if not isinstance(doc, dict):
@@ -331,9 +331,11 @@ class GeometricGraph:
             edges = []
             tags = []
             for entry in doc["edges"]:
-                if not isinstance(entry, list) or len(entry) < 2:
+                if not isinstance(entry, list) or len(entry) < 2 or not all(
+                    type(end) is int for end in entry[:2]
+                ):
                     raise ValueError(f"edge entry {entry!r} does not name two nodes")
-                edges.append((int(entry[0]), int(entry[1])))
+                edges.append((entry[0], entry[1]))
                 tags.append(str(entry[2]) if len(entry) > 2 else TAG_UDG)
             r_tr = float(doc["r_tr"])
             lam = float(doc.get("lambda", 0.0))
@@ -370,8 +372,6 @@ def build_udg(positions, r_tr: float, lam: float = 0.0) -> GeometricGraph:
     ``lam`` > 0 the positions must be pairwise at least ``lam`` apart.
     """
     pts = tuple((float(x), float(y)) for x, y in positions)
-    if r_tr <= 0:
-        raise ValueError("r_tr must be positive")
     for x, y in pts:
         if not (0.0 <= x < 1.0 and 0.0 <= y < 1.0):
             raise ValueError(f"point ({x}, {y}) outside the unit square")

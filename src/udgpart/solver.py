@@ -172,8 +172,8 @@ def _greedy(cover):
 class _Search:
     """Depth-first branch and bound over per-node portfolio choices.
 
-    Nodes are fixed on ``cover``, which must start unlabelled; each node
-    contributes its cover cap, so the bound is exact on leaves.
+    Nodes are fixed on ``cover``, which must start unlabelled, and pruned on
+    its ``bound``, the sum of the per-node caps, which is exact on leaves.
     """
 
     def __init__(self, model, cover, limits):
@@ -184,8 +184,6 @@ class _Search:
         # break the symmetry, so the first branched node needs one child only
         self.symmetric = model.capacity in (CAP_EXACTLY_ONE, CAP_FIXED_K)
         self.order = self._branch_order()
-        self.contrib = list(self.cover.root_cap)
-        self.bound = sum(self.contrib)
         self.incumbent_row = None
         self.incumbent_val = None
         self.explored = 0
@@ -217,17 +215,6 @@ class _Search:
                 fixed_adj[w] += 1
         return out
 
-    def _relabel(self, v, p):
-        # move node v and refresh the cap of every neighbourhood it is in
-        cover, contrib = self.cover, self.contrib
-        cover.move(v, p)
-        change = 0
-        for w in cover.nbrs[v]:
-            c = cover.cap(w)
-            change += c - contrib[w]
-            contrib[w] = c
-        self.bound += change
-
     def _check_limits(self):
         if self.limits.node_limit is not None and self.explored >= self.limits.node_limit:
             self.node_limited = True
@@ -239,8 +226,9 @@ class _Search:
 
     def run(self, time_budget):
         self.deadline = time.perf_counter() + time_budget
-        labels, order = self.cover.labels, self.order
-        nc, unlabelled = len(labels), self.cover.unlabelled
+        cover, order = self.cover, self.order
+        labels, unlabelled = cover.labels, cover.unlabelled
+        nc = len(labels)
         feasibility = self.feasibility
         first_children = range(1 if self.symmetric else unlabelled)
         children = range(unlabelled)
@@ -249,14 +237,11 @@ class _Search:
             if self.timed_out or self.node_limited:
                 return False
             if depth == nc:
-                if feasibility:
-                    self.incumbent_row = list(labels)
-                    self.incumbent_val = 0.0
-                    return True  # first satisfying leaf ends the search
-                if self.incumbent_val is None or self.bound > self.incumbent_val:
-                    self.incumbent_val = self.bound
-                    self.incumbent_row = list(labels)
-                return False
+                # the last fix kept this leaf only because its bound, exact
+                # here, beats the incumbent (or, when feasible, reaches |V|)
+                self.incumbent_row = list(labels)
+                self.incumbent_val = 0.0 if feasibility else cover.bound
+                return feasibility  # first satisfying leaf ends the search
             v = order[depth]
             found = False
             # siblings relabel v in place; it is unfixed once they are done
@@ -264,19 +249,19 @@ class _Search:
                 self.explored += 1
                 if self._check_limits():
                     break
-                self._relabel(v, p)
+                cover.move(v, p)
                 if feasibility:
-                    keep = self.bound >= nc
+                    keep = cover.bound >= nc
                 else:
                     keep = (
                         self.incumbent_val is None
-                        or self.bound > self.incumbent_val
+                        or cover.bound > self.incumbent_val
                     )
                 if keep and dfs(depth + 1):
                     found = True
                     break
             if labels[v] != unlabelled:
-                self._relabel(v, unlabelled)
+                cover.move(v, unlabelled)
             return found
 
         dfs(0)
@@ -302,7 +287,7 @@ def solve(model: IlpModel, limits: SolveLimits = SolveLimits()) -> SolveReport:
     cover = _Cover(
         model.closed_neighbourhoods, model.n, model.kind != KIND_OPTIMAL_SOFT, domain
     )
-    root_bound = sum(cover.root_cap)
+    root_bound = cover.bound
     feasibility = model.kind == KIND_FEASIBILITY
 
     # a feasibility program whose root bound is below |V| goes straight to
@@ -373,9 +358,10 @@ class _Cover:
     mean.  ``value()`` is the soft objective over the closed neighbourhoods
     ``nbrs``: the nodes that see all n means if ``maximal``, else the means
     seen summed over nodes.  A feasibility program is scored as
-    maximal-soft, so a value of |V| means every cover constraint holds.  A
-    new cover has every node unlabelled, and its caps ``root_cap`` sum to
-    the root bound.
+    maximal-soft, so a value of |V| means every cover constraint holds.
+    ``caps[v]`` is ``cap(v)`` and ``bound`` their sum, kept by ``move``.  A
+    new cover has every node unlabelled; its caps, copied to ``root_cap``,
+    sum to the root bound.
     """
 
     def __init__(self, nbrs, n, maximal, domain):
@@ -401,7 +387,9 @@ class _Cover:
         self.cc = [[0] * n for _ in self.nbrs]
         self.distinct = [0] * len(self.nbrs)
         self.unfixed = [len(nb) for nb in self.nbrs]
-        self.root_cap = [self.cap(v) for v in range(len(self.nbrs))]
+        self.caps = [self.cap(v) for v in range(len(self.nbrs))]
+        self.bound = sum(self.caps)
+        self.root_cap = list(self.caps)
 
     def value(self):
         return self.distinct.count(self.n) if self.maximal else sum(self.distinct)
@@ -449,7 +437,11 @@ class _Cover:
         """Relabel node u with portfolio ``p``; ``unlabelled`` unfixes it."""
         a = self.labels[u]
         lost, gained = self.diff[a][p]
-        cc, distinct = self.cc, self.distinct
+        fixed = (a == self.unlabelled) - (p == self.unlabelled)
+        cc, distinct, unfixed, caps, cap = (
+            self.cc, self.distinct, self.unfixed, self.caps, self.cap
+        )
+        change = 0
         for w in self.nbrs[u]:
             row = cc[w]
             for x in lost:
@@ -460,11 +452,11 @@ class _Cover:
                 if row[y] == 0:
                     distinct[w] += 1
                 row[y] += 1
-        fixed = (a == self.unlabelled) - (p == self.unlabelled)
-        if fixed:
-            unfixed = self.unfixed
-            for w in self.nbrs[u]:
-                unfixed[w] -= fixed
+            unfixed[w] -= fixed
+            c = cap(w)
+            change += c - caps[w]
+            caps[w] = c
+        self.bound += change
         self.labels[u] = p
 
 
@@ -524,12 +516,12 @@ def _tabu(cover, deadline, rng, patience):
     """
     n, nbrs, cc = cover.n, cover.nbrs, cover.cc
     # a node is deficient while it contributes less than its root cap
-    cap, root_cap, delta = cover.cap, cover.root_cap, cover.delta
+    caps, root_cap, delta = cover.caps, cover.root_cap, cover.delta
     # candidate portfolios per set of missing means, filled as met
     holding = {}
     nc = len(cover.labels)
     target = sum(root_cap)
-    deficient = [v for v in range(nc) if cap(v) < root_cap[v]]
+    deficient = [v for v in range(nc) if caps[v] < root_cap[v]]
     slot = [-1] * nc
     for k, v in enumerate(deficient):
         slot[v] = k
@@ -568,7 +560,7 @@ def _tabu(cover, deadline, rng, patience):
         value += top
         tabu_until[w] = step + 2 + rng.randrange(8)
         for x in nbrs[w]:
-            bad = cap(x) < root_cap[x]
+            bad = caps[x] < root_cap[x]
             if bad and slot[x] < 0:
                 slot[x] = len(deficient)
                 deficient.append(x)

@@ -412,11 +412,17 @@ class TestGraphLoading:
             {"edges": [1]},
             {"r_tr": None},
             {"edges": [[0, math.inf]]},
+            {"r_tr": math.inf},
+            {"r_tr": math.nan},
+            {"r_tr": -3},
+            {"edges": [[0, 1.9]]},
+            {"edges": [[False, 1]]},
         ],
         ids=[
             "x-outside", "y-outside", "one-coordinate", "three-coordinates",
             "bare-number-node", "null-coordinate", "one-field-edge", "bare-number-edge",
-            "null-r_tr", "infinite-endpoint",
+            "null-r_tr", "infinite-endpoint", "infinite-r_tr", "nan-r_tr",
+            "negative-r_tr", "fractional-endpoint", "boolean-endpoint",
         ],
     )
     def test_malformed_graph_is_usage_error(self, tmp_path, capsys, change):

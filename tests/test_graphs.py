@@ -334,8 +334,18 @@ class TestJsonRoundTrip:
             {"r_tr": 0.5, "nodes": [0.5], "edges": []},
             {"r_tr": 0.5, "nodes": [[0.1, 0.1], [0.2, 0.2]], "edges": [[1]]},
             {"r_tr": 0.5, "nodes": [[0.1, 0.1], [0.2, 0.2]], "edges": [[0, "b"]]},
+            {"r_tr": 0.5, "nodes": [[0.1, 0.1], [0.2, 0.2]], "edges": [[0, 1.9]]},
+            {"r_tr": 0.5, "nodes": [[0.1, 0.1], [0.2, 0.2]], "edges": [[False, 1]]},
+            {"r_tr": math.inf, "nodes": [[0.1, 0.1]], "edges": []},
+            {"r_tr": math.nan, "nodes": [[0.1, 0.1]], "edges": []},
+            {"r_tr": -3, "nodes": [[0.1, 0.1]], "edges": []},
+            {"r_tr": 0, "nodes": [[0.1, 0.1]], "edges": []},
         ],
-        ids=["not-an-object", "x-at-one", "short-node", "bare-node", "short-edge", "named-edge-end"],
+        ids=[
+            "not-an-object", "x-at-one", "short-node", "bare-node", "short-edge",
+            "named-edge-end", "fractional-edge-end", "boolean-edge-end",
+            "infinite-r_tr", "nan-r_tr", "negative-r_tr", "zero-r_tr",
+        ],
     )
     def test_malformed_document_raises_value_error(self, doc):
         with pytest.raises(ValueError):

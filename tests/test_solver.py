@@ -512,9 +512,13 @@ def test_search_alone_matches_oracle_and_recorded_path(trial):
     )
     explored = []
     for m in programs:
-        search = _Search(m, _Cover(*cover_args(m)), SolveLimits())
+        cover = _Cover(*cover_args(m))
+        search = _Search(m, cover, SolveLimits())
         search.run(60)
         assert not (search.timed_out or search.node_limited)
+        # the search unfixes every node it fixed, back to the root bound
+        assert cover.caps == cover.root_cap
+        assert cover.bound == sum(cover.root_cap)
         oracle = brute_force(m)
         if search.incumbent_row is None:
             assert oracle.status == "infeasible"
@@ -546,6 +550,8 @@ class _CheckedCover(_Cover):
         self.moves += 1
         self.wide_moves += not swap
         assert self.value() == _recount(self.model, self.domain, self.labels)
+        assert self.caps == [self.cap(v) for v in range(len(self.labels))]
+        assert self.bound == sum(self.caps)
 
 
 def _recount(model, domain, labels):
@@ -623,3 +629,5 @@ class TestCoverDeltas:
                     cover.move(u, cover.unlabelled)
                 assert cover.cc == [[0] * m.n for _ in range(g.node_count)]
                 assert [cover.cap(v) for v in range(g.node_count)] == cover.root_cap
+                assert cover.caps == cover.root_cap
+                assert cover.bound == sum(cover.root_cap)
