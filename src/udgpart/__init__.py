@@ -45,7 +45,6 @@ from .solver import (
     SolveLimits,
     SolveReport,
     brute_force,
-    greedy_incumbent,
     solve,
 )
 

@@ -93,13 +93,17 @@ def eliminate_bridge_paths(g: GeometricGraph) -> GeometricGraph:
     Chains of a single bridge have no interior and are left to the general
     bridge elimination.
     """
+    chords = _chain_chords(g)
+    return g.with_edges(chords, tag=TAG_DEBRIDGED) if chords else g
+
+
+def _chain_chords(g):
+    """Sorted chords joining the nodes two apart along every bridge chain."""
     chords = set()
     for chain in g.bridge_paths():
         for a, b in zip(chain, chain[2:]):
             chords.add((min(a, b), max(a, b)))
-    if not chords:
-        return g
-    return g.with_edges(sorted(chords), tag=TAG_DEBRIDGED)
+    return sorted(chords)
 
 
 def eliminate_bridges(g: GeometricGraph) -> GeometricGraph:
@@ -110,18 +114,23 @@ def eliminate_bridges(g: GeometricGraph) -> GeometricGraph:
     pair avoiding u and v themselves.  When one side consists of u alone the
     chord falls back to u and the next-nearest node across, and a lone edge
     on two nodes cannot be repaired at all.
+
+    Chords only mend bridges, so one walk over the input's bridges meets the
+    standing ones smallest first; on one working adjacency a search from u
+    finds u's side or, reaching v, a mended bridge.  One graph value results.
     """
-    g = eliminate_bridge_paths(g)
-    while True:
-        bridges = g.bridges
-        if not bridges:
-            return g
-        u, v = bridges[0]
-        cut = g.without_edge(u, v)
-        side_u = next(c for c in cut.connected_components if u in c)
-        side_v = next(c for c in cut.connected_components if v in c)
-        a_side = sorted(side_u - {u})
-        b_side = sorted(side_v - {v})
+    chords = _chain_chords(g)
+    adj = [set(g.neighbours(v)) for v in range(g.node_count)]
+    for a, b in chords:
+        adj[a].add(b)
+        adj[b].add(a)
+    for u, v in g.bridges:
+        side_u = _side(adj, u, v)
+        if side_u is None:
+            continue
+        a_side = side_u - {u}
+        # chords never join components, so v's side is the rest of u's
+        b_side = next(c for c in g.connected_components if u in c) - side_u - {v}
         if a_side and b_side:
             _, a, b = min(
                 (g.edge_length(a, b), a, b) for a in a_side for b in b_side
@@ -138,7 +147,24 @@ def eliminate_bridges(g: GeometricGraph) -> GeometricGraph:
             raise IrreducibleBridgeError(
                 f"bridge ({u}, {v}) joins two single nodes; no chord exists"
             )
-        g = g.with_edges([(a, b)], tag=TAG_DEBRIDGED)
+        chords.append((a, b))
+        adj[a].add(b)
+        adj[b].add(a)
+    return g.with_edges(chords, tag=TAG_DEBRIDGED) if chords else g
+
+
+def _side(adj, u, v):
+    """The nodes reachable from u without the edge {u, v}, or None if v is one."""
+    stack = [w for w in adj[u] if w != v]
+    seen = {u, *stack}
+    while stack:
+        for b in adj[stack.pop()]:
+            if b == v:
+                return None
+            if b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return seen
 
 
 def thin_to_degree(

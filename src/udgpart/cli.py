@@ -306,7 +306,18 @@ _CONFIG_FIELDS = {
 }
 
 
+def _check_json_types(doc, integers, numbers):
+    """Reject a value that int() or float() would coerce from another JSON type."""
+    for key in integers:
+        if key in doc and not _is_int(doc[key]):
+            raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
+    for key in numbers:
+        if key in doc and not (_is_int(doc[key]) or isinstance(doc[key], float)):
+            raise ValueError(f"{key} must be a number, got {doc[key]!r}")
+
+
 def _seed_row(raw):
+    _check_json_types(raw, ("n_nodes",), ("deg_exp", "lambda", "r_tr"))
     if "lambda" in raw and "r_tr" in raw:
         return SeedTableRow(
             node_count=int(raw["n_nodes"]),
@@ -333,6 +344,9 @@ def _experiment_config(path, threads, parser):
     if threads is not None:
         doc["threads"] = threads
     try:
+        _check_json_types(
+            doc, ("graphs_per_row", "seed", "max_attempts", "threads"), ("time_limit",)
+        )
         return ExperimentConfig(
             seed_rows=tuple(_seed_row(raw) for raw in doc["rows"]),
             **{

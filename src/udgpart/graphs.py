@@ -286,19 +286,6 @@ class GeometricGraph:
             edge_tags=tuple(t for _, t in merged),
         )
 
-    def without_edge(self, u: int, v: int) -> "GeometricGraph":
-        e = _norm_edge(u, v)
-        if e not in self._edge_set:
-            raise ValueError(f"edge {e} not present")
-        kept = [(f, t) for f, t in zip(self.edges, self.edge_tags) if f != e]
-        return GeometricGraph(
-            positions=self.positions,
-            edges=tuple(f for f, _ in kept),
-            r_tr=self.r_tr,
-            lam=self.lam,
-            edge_tags=tuple(t for _, t in kept),
-        )
-
     # -- interchange format ------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -319,8 +306,9 @@ class GeometricGraph:
     def from_json_dict(cls, doc: dict) -> "GeometricGraph":
         """Graph from its JSON document; a malformed document raises ValueError.
 
-        Node entries must be (x, y) pairs inside [0,1)^2, edge entries must
-        name both endpoints as integers, and ``r_tr`` must be finite and
+        Node entries must be (x, y) pairs of numbers inside [0,1)^2, edge
+        entries must name both endpoints as integers and may add a tag, and
+        ``r_tr`` and ``lambda`` must be numbers, ``r_tr`` finite and
         positive.  These checks take O(|V| + |E|); the
         O(|V|^2) pairwise lambda check of :func:`build_udg` is not repeated.
         """
@@ -331,14 +319,16 @@ class GeometricGraph:
             edges = []
             tags = []
             for entry in doc["edges"]:
-                if not isinstance(entry, list) or len(entry) < 2 or not all(
+                if not isinstance(entry, list) or len(entry) not in (2, 3) or not all(
                     type(end) is int for end in entry[:2]
                 ):
-                    raise ValueError(f"edge entry {entry!r} does not name two nodes")
+                    raise ValueError(
+                        f"edge entry {entry!r} is not two nodes and an optional tag"
+                    )
                 edges.append((entry[0], entry[1]))
-                tags.append(str(entry[2]) if len(entry) > 2 else TAG_UDG)
-            r_tr = float(doc["r_tr"])
-            lam = float(doc.get("lambda", 0.0))
+                tags.append(entry[2] if len(entry) > 2 else TAG_UDG)
+            r_tr = _json_number(doc["r_tr"], "r_tr")
+            lam = _json_number(doc.get("lambda", 0.0), "lambda")
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed graph document: {exc}") from None
         order = sorted(range(len(edges)), key=lambda k: edges[k])
@@ -358,10 +348,17 @@ class GeometricGraph:
 def _json_point(entry) -> Point:
     if not isinstance(entry, list) or len(entry) != 2:
         raise ValueError(f"node entry {entry!r} is not an (x, y) pair")
-    x, y = float(entry[0]), float(entry[1])
+    x, y = (_json_number(c, "coordinate") for c in entry)
     if not (0.0 <= x < 1.0 and 0.0 <= y < 1.0):
         raise ValueError(f"point ({x}, {y}) outside the unit square")
     return x, y
+
+
+def _json_number(value, what) -> float:
+    # bool is an int subclass, and float() would also take strings
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} {value!r} is not a number")
+    return float(value)
 
 
 def build_udg(positions, r_tr: float, lam: float = 0.0) -> GeometricGraph:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GeometricGraph
 from .ilp import (
     CAP_EXACTLY_ONE,
     CAP_FIXED_K,
@@ -31,7 +30,6 @@ from .ilp import (
     KIND_OPTIMAL_SOFT,
     IlpModel,
     PartitionAssignment,
-    _closed_neighbourhoods,
     portfolio_domain,
 )
 
@@ -141,17 +139,6 @@ def brute_force(model: IlpModel, cap: int = 10_000_000) -> SolveReport:
         wall,
         explored,
     )
-
-
-def greedy_incumbent(g: GeometricGraph, n: int) -> PartitionAssignment:
-    """Valid one-mean-per-node start: highest degree first, rarest mean locally.
-
-    The policy is identical for both soft objectives.
-    """
-    domain = portfolio_domain(n, CAP_EXACTLY_ONE)
-    cover = _Cover(_closed_neighbourhoods(g), n, False, domain)
-    _greedy(cover)
-    return PartitionAssignment(tuple(domain[p] for p in cover.labels), n)
 
 
 def _greedy(cover):

@@ -19,7 +19,13 @@ from udgpart.adapt import (
 from udgpart.generator import GeneratorParams, place_nodes
 from udgpart.graphs import GeometricGraph, build_udg
 
-from test_graphs import complete_graph, cycle_graph, graph_from_edges, path_graph
+from test_graphs import (
+    complete_graph,
+    cycle_graph,
+    graph_from_edges,
+    path_graph,
+    without_edge,
+)
 
 
 class TestConnectComponents:
@@ -114,6 +120,24 @@ class TestEliminateBridges:
         assert len(extra) == 1
         assert 3 in extra.copy().pop()
 
+    def test_builds_one_graph_value(self, monkeypatch):
+        # triangles joined by one bridge and by a two-bridge chain, and a
+        # pendant node; the chord for the bridge (2, 3) also mends (9, 10)
+        g = graph_from_edges(
+            11,
+            [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (5, 6),
+             (6, 7), (7, 8), (7, 9), (8, 9), (9, 10)],
+        )
+        built = []
+        check = GeometricGraph.__post_init__
+        monkeypatch.setattr(
+            GeometricGraph, "__post_init__", lambda h: built.append(h) or check(h)
+        )
+        out = eliminate_bridges(g)
+        assert built == [out]
+        assert out.bridges == ()
+        assert set(out.edges) - set(g.edges) == {(0, 10), (5, 7)}
+
     def test_positions_kept_and_edges_superset(self):
         rng = random.Random(31)
         for _ in range(20):
@@ -130,6 +154,83 @@ class TestEliminateBridges:
             assert set(g.edges) <= set(out.edges)
             assert out.positions == g.positions
             assert out.is_connected()
+
+
+def reference_eliminate_bridges(g):
+    """Debridging as one graph value per chord: a whole-graph bridge scan and
+    a cut graph per chord, which the working-adjacency loop must match."""
+    g = eliminate_bridge_paths(g)
+    while g.bridges:
+        u, v = g.bridges[0]
+        comps = without_edge(g, u, v).connected_components
+        a_side = sorted(next(c for c in comps if u in c) - {u})
+        b_side = sorted(next(c for c in comps if v in c) - {v})
+        if a_side and b_side:
+            _, a, b = min((g.edge_length(a, b), a, b) for a in a_side for b in b_side)
+        elif a_side or b_side:
+            lone, pool = (v, a_side) if a_side else (u, b_side)
+            _, b, a = min((g.edge_length(lone, w), w, lone) for w in pool)
+        else:
+            raise IrreducibleBridgeError(
+                f"bridge ({u}, {v}) joins two single nodes; no chord exists"
+            )
+        g = g.with_edges([(a, b)], tag="debridged")
+    return g
+
+
+def debridge_outcome(fn, g):
+    try:
+        out = fn(g)
+    except IrreducibleBridgeError as exc:
+        return str(exc)
+    return out is g, out.edges, out.edge_tags
+
+
+def small_udgs(seed, count):
+    """``count`` lambda-UDGs of 2-30 nodes near the connectivity radius."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nodes = rng.randint(2, 30)
+        r_tr = rng.uniform(1.2, 2.6) * math.sqrt(1.0 / (math.pi * nodes))
+        params = GeneratorParams(
+            node_count=nodes,
+            lam=0.4 * r_tr,
+            r_tr=r_tr,
+            grid_resolution=250,
+            rng_seed=rng.randrange(10**6),
+        )
+        out.append(place_nodes(params).graph)
+    return out
+
+
+def sparse_graphs(seed, count):
+    """``count`` forests and near-forests of 2-20 nodes: chains, pendant nodes
+    and lone two-node edges.  Every other graph keeps the circle positions of
+    ``graph_from_edges``, whose equal chord lengths exercise the tie-breaks."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = rng.randint(2, 20)
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 2.0 / n}
+        positions = None if k % 2 else tuple((rng.random(), rng.random()) for _ in range(n))
+        out.append(graph_from_edges(n, edges, positions=positions))
+    return out
+
+
+class TestMatchesPerChordDebridging:
+    @pytest.mark.parametrize("joined", [False, True])
+    @pytest.mark.parametrize("graphs", [small_udgs, sparse_graphs])
+    def test_same_graph_tags_and_errors(self, graphs, joined):
+        outcomes = set()
+        for g in graphs(47 + joined, 150):
+            if joined:
+                g = connect_components(g)
+            got = debridge_outcome(eliminate_bridges, g)
+            assert got == debridge_outcome(reference_eliminate_bridges, g)
+            outcomes.add(got[0] if isinstance(got, tuple) else "irreducible")
+        # each batch has unchanged graphs, debridged ones and a lone edge
+        assert outcomes == {True, False, "irreducible"}
 
 
 class TestThinToDegree:
@@ -247,7 +348,7 @@ def reference_thin_to_degree(g, deg_target, strategy, rng):
             if strategy.forbid_disconnect and edge in bridges:
                 banned.add(edge)
                 continue
-            reduced = g.without_edge(*edge)
+            reduced = without_edge(g, *edge)
             if strategy.forbid_new_bridges and not bridges.issuperset(reduced.bridges):
                 banned.add(edge)
                 continue
@@ -351,7 +452,7 @@ class TestEdgeConnectivity:
             g = graph_from_edges(n, edges)
             bridges = set(g.bridges)
             for u, v in g.edges:
-                cut = g.without_edge(u, v)
+                cut = without_edge(g, u, v)
                 adj = [set(cut.neighbours(w)) for w in range(n)]
                 paths = _edge_connectivity(adj, u, v, 2)
                 assert paths == brute_force_connectivity(g, u, v, 2)

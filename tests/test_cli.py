@@ -377,6 +377,16 @@ class TestExperiment:
             {"rows": [{"n_nodes": 20, "deg_exp": 4}], "time_limit": math.inf},
             {"rows": [{"n_nodes": 20, "deg_exp": 4}], "time_limit": 0},
             {"rows": [{"n_nodes": 20, "deg_exp": 4}], "threads": 0},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "graphs_per_row": 1.7},
+            {"rows": [{"n_nodes": 20.9, "deg_exp": 4}]},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "graphs_per_row": True},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "seed": "3"},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "max_attempts": 2.5},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "threads": "1"},
+            {"rows": [{"n_nodes": 20, "deg_exp": "4"}]},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4, "lambda": "0.1", "r_tr": 0.3}]},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4, "lambda": 0.1, "r_tr": True}]},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4}], "time_limit": "20"},
         ],
         ids=[
             "non-object", "scalar-partition-sizes", "lambda-row-without-n_nodes",
@@ -385,7 +395,10 @@ class TestExperiment:
             "zero-max-attempts", "negative-seed", "infinite-graphs-per-row",
             "infinite-n_nodes", "zero-node-row", "lambda-above-r_tr", "infinite-r_tr",
             "negative-deg_exp", "nan-time-limit", "infinite-time-limit", "zero-time-limit",
-            "zero-threads",
+            "zero-threads", "fractional-graphs-per-row", "fractional-n_nodes",
+            "boolean-graphs-per-row", "string-seed", "fractional-max-attempts",
+            "string-threads", "string-deg_exp", "string-lambda", "boolean-r_tr",
+            "string-time-limit",
         ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, config, monkeypatch):
@@ -417,12 +430,20 @@ class TestGraphLoading:
             {"r_tr": -3},
             {"edges": [[0, 1.9]]},
             {"edges": [[False, 1]]},
+            {"r_tr": True},
+            {"nodes": [[0.1, 0.2], [False, 0.1]]},
+            {"nodes": [[0.1, 0.2], ["0.3", 0.4]]},
+            {"r_tr": "0.3"},
+            {"lambda": "0.3"},
+            {"edges": [[0, 1, "joined", "junk", 7]]},
         ],
         ids=[
             "x-outside", "y-outside", "one-coordinate", "three-coordinates",
             "bare-number-node", "null-coordinate", "one-field-edge", "bare-number-edge",
             "null-r_tr", "infinite-endpoint", "infinite-r_tr", "nan-r_tr",
-            "negative-r_tr", "fractional-endpoint", "boolean-endpoint",
+            "negative-r_tr", "fractional-endpoint", "boolean-endpoint", "boolean-r_tr",
+            "boolean-coordinate", "string-coordinate", "string-r_tr", "string-lambda",
+            "extra-edge-fields",
         ],
     )
     def test_malformed_graph_is_usage_error(self, tmp_path, capsys, change):

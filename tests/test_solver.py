@@ -23,11 +23,11 @@ from udgpart.solver import (
     OracleCapError,
     SolveLimits,
     _Cover,
+    _greedy,
     _polish,
     _Search,
     _tabu,
     brute_force,
-    greedy_incumbent,
     solve,
 )
 
@@ -137,13 +137,21 @@ class TestBruteForce:
         assert a.assignment == b.assignment
 
 
+def greedy_assignment(m):
+    """The labelling ``_greedy`` gives a fresh cover of ``m``."""
+    cover = _Cover(*cover_args(m))
+    _greedy(cover)
+    domain = domain_of(m)
+    return PartitionAssignment(tuple(domain[p] for p in cover.labels), m.n)
+
+
 class TestGreedyIncumbent:
     def test_k3_gets_all_three_means(self):
-        a = greedy_incumbent(complete_graph(3), 3)
+        a = greedy_assignment(build_optimal_soft(complete_graph(3), 3))
         assert sorted(a.labels()) == [1, 2, 3]
 
     def test_single_mean_trivially_valid(self):
-        a = greedy_incumbent(cycle_graph(5), 1)
+        a = greedy_assignment(build_optimal_soft(cycle_graph(5), 1))
         assert a.labels() == (1,) * 5
 
     def test_always_one_mean_per_node(self):
@@ -156,15 +164,13 @@ class TestGreedyIncumbent:
                 for v in range(u + 1, n)
                 if rng.random() < 0.4
             }
-            a = greedy_incumbent(graph_from_edges(n, edges), 4)
+            a = greedy_assignment(build_optimal_soft(graph_from_edges(n, edges), 4))
             assert len(a.labels()) == n
 
     def test_cycle_objective_never_beats_oracle(self):
         g = cycle_graph(6)
         m = build_optimal_soft(g, 3)
-        greedy_val = m.objective_value(
-            m.assignment_to_values(greedy_incumbent(g, 3))
-        )
+        greedy_val = m.objective_value(m.assignment_to_values(greedy_assignment(m)))
         assert greedy_val <= brute_force(m).objective
 
 
