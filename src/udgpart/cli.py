@@ -62,7 +62,7 @@ def _load_graph(path, parser):
     try:
         with open(path) as fh:
             return GeometricGraph.from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         parser.error(f"cannot load graph {path}: {exc}")
 
 
@@ -318,7 +318,10 @@ def _check_json_types(doc, integers, numbers):
 
 def _seed_row(raw):
     _check_json_types(raw, ("n_nodes",), ("deg_exp", "lambda", "r_tr"))
-    if "lambda" in raw and "r_tr" in raw:
+    if ("lambda" in raw) != ("r_tr" in raw):
+        given, missing = ("lambda", "r_tr") if "lambda" in raw else ("r_tr", "lambda")
+        raise ValueError(f"row gives {given} without {missing}")
+    if "lambda" in raw:
         return SeedTableRow(
             node_count=int(raw["n_nodes"]),
             deg_exp=float(raw["deg_exp"]),

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 Point = tuple[float, float]
 Edge = tuple[int, int]
 
@@ -314,6 +316,9 @@ class GeometricGraph:
         """
         if not isinstance(doc, dict):
             raise ValueError("graph document is not a JSON object")
+        for key in ("nodes", "edges", "r_tr"):
+            if key not in doc:
+                raise ValueError(f"graph document has no {key!r}")
         try:
             positions = tuple(_json_point(entry) for entry in doc["nodes"])
             edges = []
@@ -374,14 +379,24 @@ def build_udg(positions, r_tr: float, lam: float = 0.0) -> GeometricGraph:
             raise ValueError(f"point ({x}, {y}) outside the unit square")
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate coordinates")
+    # Squared distances in one numpy pass pick the candidate pairs; the
+    # 1e-9 slack keeps every pair that the exact tests below could accept
+    # or reject.  A NaN reach keeps every pair, as the double loop did.
+    xy = np.array(pts).reshape(-1, 2)
+    dist2 = np.subtract.outer(xy[:, 0], xy[:, 0])
+    dist2 *= dist2
+    dy = np.subtract.outer(xy[:, 1], xy[:, 1])
+    dy *= dy
+    dist2 += dy
+    reach = max(r_tr, lam) + 1e-9
+    rows, cols = np.nonzero(np.triu(~(dist2 > reach * reach), 1))
     edges = []
-    for u in range(len(pts)):
-        for v in range(u + 1, len(pts)):
-            d = math.dist(pts[u], pts[v])
-            if lam > 0.0 and d < lam:
-                raise ValueError(
-                    f"nodes {u} and {v} are {d:.6f} apart, closer than lam={lam}"
-                )
-            if d <= r_tr:
-                edges.append((u, v))
+    for u, v in zip(rows.tolist(), cols.tolist()):
+        d = math.dist(pts[u], pts[v])
+        if lam > 0.0 and d < lam:
+            raise ValueError(
+                f"nodes {u} and {v} are {d:.6f} apart, closer than lam={lam}"
+            )
+        if d <= r_tr:
+            edges.append((u, v))
     return GeometricGraph(positions=pts, edges=tuple(edges), r_tr=r_tr, lam=lam)

@@ -387,6 +387,8 @@ class TestExperiment:
             {"rows": [{"n_nodes": 20, "deg_exp": 4, "lambda": "0.1", "r_tr": 0.3}]},
             {"rows": [{"n_nodes": 20, "deg_exp": 4, "lambda": 0.1, "r_tr": True}]},
             {"rows": [{"n_nodes": 20, "deg_exp": 4}], "time_limit": "20"},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4, "lambda": 0.05}]},
+            {"rows": [{"n_nodes": 20, "deg_exp": 4, "r_tr": 0.3}]},
         ],
         ids=[
             "non-object", "scalar-partition-sizes", "lambda-row-without-n_nodes",
@@ -398,7 +400,7 @@ class TestExperiment:
             "zero-threads", "fractional-graphs-per-row", "fractional-n_nodes",
             "boolean-graphs-per-row", "string-seed", "fractional-max-attempts",
             "string-threads", "string-deg_exp", "string-lambda", "boolean-r_tr",
-            "string-time-limit",
+            "string-time-limit", "lambda-without-r_tr", "r_tr-without-lambda",
         ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, config, monkeypatch):

@@ -151,6 +151,16 @@ REFERENCE_PARAMS = [
     GeneratorParams(node_count=12, lam=0.2, r_tr=0.35, grid_resolution=37, rng_seed=4),
     GeneratorParams(node_count=60, lam=0.11, r_tr=0.2, grid_resolution=200, rng_seed=6),
     GeneratorParams(node_count=5, lam=0.3, r_tr=0.5, grid_resolution=2, rng_seed=1),  # jams
+    # (lam G)^2 = 2500 up to rounding: 20 borderline offsets decided per node
+    GeneratorParams(node_count=60, lam=0.05, r_tr=0.1, rng_seed=9),
+    # (lam G)^2 = 196.00000000000006: the margin makes 196 borderline
+    GeneratorParams(node_count=60, lam=0.07, r_tr=0.2, grid_resolution=200, rng_seed=3),
+    # lam below 1/G: the disc is the centre cell alone
+    GeneratorParams(node_count=8, lam=0.0004, r_tr=0.01, rng_seed=10),
+    # the disc covers more than the whole square
+    GeneratorParams(node_count=3, lam=5.0, r_tr=6.0, rng_seed=1),  # jams
+    GeneratorParams(node_count=2, lam=1e200, r_tr=1e201, rng_seed=2),  # jams
+    params_for(degree_seed(300, 6), seed=7),
 ]
 
 

@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from udgpart.graphs import GeometricGraph, build_udg
 
@@ -80,6 +81,74 @@ class TestBuildUdg:
     def test_rejects_lambda_violation(self):
         with pytest.raises(ValueError):
             build_udg([(0.1, 0.1), (0.15, 0.1)], r_tr=0.3, lam=0.1)
+
+
+def double_loop_udg(positions, r_tr, lam=0.0):
+    """Reference UDG: tests every pair with ``math.dist`` in row-major order.
+
+    Kept only to pin ``build_udg``, which must give the same edges and raise
+    the same errors.
+    """
+    pts = tuple((float(x), float(y)) for x, y in positions)
+    for x, y in pts:
+        if not (0.0 <= x < 1.0 and 0.0 <= y < 1.0):
+            raise ValueError(f"point ({x}, {y}) outside the unit square")
+    if len(set(pts)) != len(pts):
+        raise ValueError("duplicate coordinates")
+    edges = []
+    for u in range(len(pts)):
+        for v in range(u + 1, len(pts)):
+            d = math.dist(pts[u], pts[v])
+            if lam > 0.0 and d < lam:
+                raise ValueError(
+                    f"nodes {u} and {v} are {d:.6f} apart, closer than lam={lam}"
+                )
+            if d <= r_tr:
+                edges.append((u, v))
+    return GeometricGraph(positions=pts, edges=tuple(edges), r_tr=r_tr, lam=lam)
+
+
+def _graph_or_error(build, points, r_tr, lam):
+    try:
+        return build(points, r_tr=r_tr, lam=lam)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def grid_udg_inputs(draw):
+    """Distinct points on a 1/G grid, with r_tr and lam set to distances between them.
+
+    A coarse grid repeats distances often, so pairs tie with r_tr and lam.
+    """
+    res = draw(st.sampled_from([5, 12, 1000]))
+    cells = draw(
+        st.lists(
+            st.tuples(st.integers(0, res - 1), st.integers(0, res - 1)),
+            min_size=2,
+            max_size=min(30, res * res),
+            unique=True,
+        )
+    )
+    points = [(a / res, b / res) for a, b in cells]
+    pair_distance = st.tuples(
+        st.integers(0, len(points) - 1), st.integers(0, len(points) - 1)
+    ).map(lambda p: math.dist(points[p[0]], points[p[1]]))
+    r_tr = draw(pair_distance.filter(lambda d: d > 0))
+    # the closest pair's distance is the largest lam that holds
+    closest = min(math.dist(p, q) for k, p in enumerate(points) for q in points[:k])
+    lam = draw(st.sampled_from([0.0, closest]) | pair_distance)
+    return points, r_tr, lam
+
+
+class TestMatchesDoubleLoop:
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(grid_udg_inputs())
+    def test_same_edges_and_errors(self, inputs):
+        points, r_tr, lam = inputs
+        assert _graph_or_error(build_udg, points, r_tr, lam) == _graph_or_error(
+            double_loop_udg, points, r_tr, lam
+        )
 
 
 class TestNeighbourhood:
@@ -356,11 +425,15 @@ class TestJsonRoundTrip:
             {"r_tr": math.nan, "nodes": [[0.1, 0.1]], "edges": []},
             {"r_tr": -3, "nodes": [[0.1, 0.1]], "edges": []},
             {"r_tr": 0, "nodes": [[0.1, 0.1]], "edges": []},
+            {"r_tr": 0.5, "edges": []},
+            {"r_tr": 0.5, "nodes": []},
+            {"nodes": [], "edges": []},
         ],
         ids=[
             "not-an-object", "x-at-one", "short-node", "bare-node", "short-edge",
             "named-edge-end", "fractional-edge-end", "boolean-edge-end",
             "infinite-r_tr", "nan-r_tr", "negative-r_tr", "zero-r_tr",
+            "no-nodes", "no-edges", "no-r_tr",
         ],
     )
     def test_malformed_document_raises_value_error(self, doc):
