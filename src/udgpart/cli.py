@@ -47,7 +47,7 @@ from .ilp import (
 )
 from .metrics import ExperimentConfig, coverage_errors, run_experiment
 from .seeds import SeedTableRow, degree_seed, rows_to_csv
-from .solver import SolveLimits, solve
+from .solver import ANSWERED, SolveLimits, solve
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -273,7 +273,7 @@ def _cmd_partition(args, parser):
             "out": args.out,
         }
     )
-    return EXIT_OK if report.status in ("optimal", "feasible-time-limit") else EXIT_DOMAIN
+    return EXIT_OK if report.status in ANSWERED else EXIT_DOMAIN
 
 
 def _cmd_export_lp(args, parser):
@@ -365,7 +365,7 @@ def _experiment_config(path, threads, parser):
 def _cmd_experiment(args, parser):
     config = _experiment_config(args.config, args.threads, parser)
     records = run_experiment(config, out_dir=args.out_dir)
-    solved = [r for r in records if r.status in ("optimal", "feasible-time-limit")]
+    solved = [r for r in records if r.status in ANSWERED]
     _emit(
         {
             "records": len(records),

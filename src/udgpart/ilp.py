@@ -60,10 +60,13 @@ class PartitionAssignment:
 class IlpModel:
     """A 0-1 program declared by its kind, capacity rule and neighbourhoods.
 
+    The declaration is checked when the model is made: an unknown kind or
+    capacity rule, ``n`` below 1, no nodes, or a missing or invalid ``k``
+    (fixed-k) or ``costs`` (cost rule) raise :class:`ValueError`.
     ``variables``, ``constraints`` and ``objective`` (maximisation sense)
-    are derived from that declaration when the model is made, so a model
-    built directly or through :func:`dataclasses.replace` always has the
-    rows its neighbourhoods and capacity rule call for.
+    are then derived from it, so a model built directly or through
+    :func:`dataclasses.replace` always has the rows its neighbourhoods and
+    capacity rule call for.
     """
 
     kind: str
@@ -77,6 +80,18 @@ class IlpModel:
     objective: tuple[tuple[int, float], ...] | None = field(init=False)
 
     def __post_init__(self):
+        if self.kind not in (KIND_FEASIBILITY, KIND_OPTIMAL_SOFT, KIND_MAXIMAL_SOFT):
+            raise ValueError(f"unknown program kind {self.kind!r}")
+        if self.capacity not in (CAP_EXACTLY_ONE, CAP_FIXED_K, CAP_COST):
+            raise ValueError(f"unknown capacity mode {self.capacity!r}")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        if not self.closed_neighbourhoods:
+            raise ValueError("graph must have at least one node")
+        if self.capacity == CAP_FIXED_K:
+            object.__setattr__(self, "k", _validate_k(self.k, self.n))
+        if self.capacity == CAP_COST:
+            object.__setattr__(self, "costs", _validate_costs(self.costs, self.n))
         n, nbrs = self.n, self.closed_neighbourhoods
         nodes, means = range(len(nbrs)), range(1, n + 1)
         x, y, z = self.x_index, self.y_index, self.z_index
@@ -191,12 +206,6 @@ class IlpModel:
         return float(sum(coef * values[idx] for idx, coef in self.objective))
 
 
-def _closed_neighbourhoods(g: GeometricGraph) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(sorted(g.closed_neighbourhood(v))) for v in range(g.node_count)
-    )
-
-
 def _validate_costs(costs, n):
     try:
         costs = tuple(float(c) for c in costs)
@@ -256,11 +265,8 @@ def admissible(means, n, capacity, k=None, costs=None) -> bool:
 
 
 def _build(g, n, kind, capacity, k=None, costs=None):
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if g.node_count < 1:
-        raise ValueError("graph must have at least one node")
-    return IlpModel(kind, capacity, n, _closed_neighbourhoods(g), k=k, costs=costs)
+    nbrs = tuple(tuple(sorted(g.closed_neighbourhood(v))) for v in range(g.node_count))
+    return IlpModel(kind, capacity, n, nbrs, k=k, costs=costs)
 
 
 def build_domatic_feasibility(g: GeometricGraph, n: int) -> IlpModel:
@@ -270,12 +276,12 @@ def build_domatic_feasibility(g: GeometricGraph, n: int) -> IlpModel:
 
 def build_fixed_k(g: GeometricGraph, n: int, k: int) -> IlpModel:
     """Feasibility variant with exactly k means implemented per node."""
-    return _build(g, n, KIND_FEASIBILITY, CAP_FIXED_K, k=_validate_k(k, n))
+    return _build(g, n, KIND_FEASIBILITY, CAP_FIXED_K, k=k)
 
 
 def build_cost_based(g: GeometricGraph, n: int, costs) -> IlpModel:
     """Feasibility variant where each node spends its unit budget exactly."""
-    return _build(g, n, KIND_FEASIBILITY, CAP_COST, costs=_validate_costs(costs, n))
+    return _build(g, n, KIND_FEASIBILITY, CAP_COST, costs=costs)
 
 
 def build_optimal_soft(g: GeometricGraph, n: int) -> IlpModel:
@@ -296,8 +302,8 @@ def build_soft_variant(g: GeometricGraph, n: int, base: str, k=None, costs=None)
         raise ValueError("give exactly one of k or costs")
     kind = KIND_OPTIMAL_SOFT if base == "optimal" else KIND_MAXIMAL_SOFT
     if k is not None:
-        return _build(g, n, kind, CAP_FIXED_K, k=_validate_k(k, n))
-    return _build(g, n, kind, CAP_COST, costs=_validate_costs(costs, n))
+        return _build(g, n, kind, CAP_FIXED_K, k=k)
+    return _build(g, n, kind, CAP_COST, costs=costs)
 
 
 # -- LP text export ---------------------------------------------------------

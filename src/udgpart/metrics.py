@@ -20,7 +20,7 @@ from .generator import GeneratorParams, UnreachableTargetError, generate_connect
 from .graphs import GeometricGraph
 from .ilp import PartitionAssignment, build_maximal_soft, build_optimal_soft
 from .seeds import SeedTableRow
-from .solver import SolveLimits, solve
+from .solver import ANSWERED, SolveLimits, solve
 
 VARIANT_THIN = "SG1"
 VARIANT_DEBRIDGE_THIN = "SG2"
@@ -308,11 +308,7 @@ _SPLIT_COLUMNS = (
 
 
 def _solved(records):
-    return [
-        r
-        for r in records
-        if r.status in ("optimal", "feasible-time-limit") and r.miss_cov is not None
-    ]
+    return [r for r in records if r.status in ANSWERED and r.miss_cov is not None]
 
 
 def _grouped(records):

@@ -6,12 +6,13 @@ subset), and coverage auxiliaries follow from the picks.  The oracle
 enumerates whole assignments; the branch-and-bound search fixes nodes one at
 a time and prunes with a combinatorial per-node coverage cap that is exact on
 leaves, so its bound never undercuts a completion of the current partial
-assignment.  Every program starts from one warm start: a greedy portfolio
-labelling improved by local search on incrementally kept cover counts (the
-counts the search fixes nodes on), with feasibility programs scored as
-maximal-soft.  When that labelling meets the root bound it is optimal (for a
-feasibility program: satisfying) without any branching; otherwise the search
-runs with the time that is left.
+assignment.  All six programs take one path, a feasibility program as
+maximal-soft that must reach |V|.  Every program whose root bound is above
+its floor starts from one warm start: a greedy portfolio labelling improved
+by local search on incrementally kept cover counts (the counts the search
+fixes nodes on).  When that labelling meets the root bound it is optimal
+(for a feasibility program: satisfying) without any branching; otherwise
+the search runs with the time that is left.
 """
 
 import itertools
@@ -26,7 +27,6 @@ from .ilp import (
     CAP_EXACTLY_ONE,
     CAP_FIXED_K,
     KIND_FEASIBILITY,
-    KIND_MAXIMAL_SOFT,
     KIND_OPTIMAL_SOFT,
     IlpModel,
     PartitionAssignment,
@@ -37,6 +37,8 @@ STATUS_OPTIMAL = "optimal"
 STATUS_TIME_LIMIT = "feasible-time-limit"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_ERROR = "error"
+# the statuses that come with an assignment
+ANSWERED = (STATUS_OPTIMAL, STATUS_TIME_LIMIT)
 
 
 class OracleCapError(RuntimeError):
@@ -156,102 +158,79 @@ def _greedy(cover):
         )
 
 
-class _Search:
+def _branch_order(nbrs):
+    """Fix nodes in a connectivity-clustered order.
+
+    Starting from the tightest closed neighbourhood, always branch next on
+    the node with the most already-branched neighbours.  Completing
+    neighbourhoods early makes the coverage cap bite near the top of the
+    tree; a degree-sorted order leaves it slack until the very bottom and
+    can be slower by orders of magnitude.
+    """
+    fixed_adj = [0] * len(nbrs)
+    out = []
+    remaining = set(range(len(nbrs)))
+    while remaining:
+        v = min(remaining, key=lambda w: (-fixed_adj[w], len(nbrs[w]), w))
+        out.append(v)
+        remaining.discard(v)
+        for w in nbrs[v]:
+            fixed_adj[w] += 1
+    return out
+
+
+def _search(cover, symmetric, floor, stop, limits, deadline):
     """Depth-first branch and bound over per-node portfolio choices.
 
-    Nodes are fixed on ``cover``, which must start unlabelled, and pruned on
-    its ``bound``, the sum of the per-node caps, which is exact on leaves.
+    Nodes are fixed on ``cover``, which must start unlabelled, in
+    :func:`_branch_order`.  A child is kept iff the cover's ``bound``, the
+    sum of the per-node caps and exact on leaves, is above ``floor``.  A
+    leaf raises the floor to its value; a leaf at ``stop`` or above ends the
+    search.  If ``symmetric``, permuting mean labels maps solutions to
+    solutions, so the first branched node needs one child only.  Returns
+    the labels of the last leaf (None if none was reached), the floor, the
+    explored nodes and whether the node limit or the deadline cut the
+    search.
     """
+    labels, unlabelled = cover.labels, cover.unlabelled
+    nc = len(labels)
+    order = _branch_order(cover.nbrs)
+    node_limit = math.inf if limits.node_limit is None else limits.node_limit
+    first_children = range(1 if symmetric else unlabelled)
+    children = range(unlabelled)
+    best = None
+    explored = 0
+    cut = False
 
-    def __init__(self, model, cover, limits):
-        self.cover = cover
-        self.limits = limits
-        self.feasibility = model.kind == KIND_FEASIBILITY
-        # permuting mean labels maps solutions to solutions unless costs
-        # break the symmetry, so the first branched node needs one child only
-        self.symmetric = model.capacity in (CAP_EXACTLY_ONE, CAP_FIXED_K)
-        self.order = self._branch_order()
-        self.incumbent_row = None
-        self.incumbent_val = None
-        self.explored = 0
-        self.deadline = None
-        self.timed_out = False
-        self.node_limited = False
+    def dfs(depth):
+        nonlocal best, floor, explored, cut
+        if cut:
+            return False
+        if depth == nc:
+            # the last fix kept this leaf only because its bound, exact
+            # here, is above the floor
+            best, floor = list(labels), cover.bound
+            return floor >= stop
+        v = order[depth]
+        done = False
+        # siblings relabel v in place; it is unfixed once they are done
+        for p in first_children if depth == 0 else children:
+            explored += 1
+            if explored >= node_limit or (
+                (explored & 0xFF) == 0 and time.perf_counter() >= deadline
+            ):
+                cut = True
+                break
+            cover.move(v, p)
+            if cover.bound > floor and dfs(depth + 1):
+                done = True
+                break
+        if labels[v] != unlabelled:
+            cover.move(v, unlabelled)
+        return done
 
-    def _branch_order(self):
-        """Fix nodes in a connectivity-clustered order.
-
-        Starting from the tightest closed neighbourhood, always branch next
-        on the node with the most already-branched neighbours.  Completing
-        neighbourhoods early makes the coverage cap bite near the top of the
-        tree; a degree-sorted order leaves it slack until the very bottom
-        and can be slower by orders of magnitude.
-        """
-        nbrs = self.cover.nbrs
-        fixed_adj = [0] * len(nbrs)
-        out = []
-        remaining = set(range(len(nbrs)))
-        while remaining:
-            v = min(
-                remaining,
-                key=lambda w: (-fixed_adj[w], len(nbrs[w]), w),
-            )
-            out.append(v)
-            remaining.discard(v)
-            for w in nbrs[v]:
-                fixed_adj[w] += 1
-        return out
-
-    def _check_limits(self):
-        if self.limits.node_limit is not None and self.explored >= self.limits.node_limit:
-            self.node_limited = True
-            return True
-        if (self.explored & 0xFF) == 0 and time.perf_counter() >= self.deadline:
-            self.timed_out = True
-            return True
-        return False
-
-    def run(self, time_budget):
-        self.deadline = time.perf_counter() + time_budget
-        cover, order = self.cover, self.order
-        labels, unlabelled = cover.labels, cover.unlabelled
-        nc = len(labels)
-        feasibility = self.feasibility
-        first_children = range(1 if self.symmetric else unlabelled)
-        children = range(unlabelled)
-
-        def dfs(depth):
-            if self.timed_out or self.node_limited:
-                return False
-            if depth == nc:
-                # the last fix kept this leaf only because its bound, exact
-                # here, beats the incumbent (or, when feasible, reaches |V|)
-                self.incumbent_row = list(labels)
-                self.incumbent_val = 0.0 if feasibility else cover.bound
-                return feasibility  # first satisfying leaf ends the search
-            v = order[depth]
-            found = False
-            # siblings relabel v in place; it is unfixed once they are done
-            for p in first_children if depth == 0 else children:
-                self.explored += 1
-                if self._check_limits():
-                    break
-                cover.move(v, p)
-                if feasibility:
-                    keep = cover.bound >= nc
-                else:
-                    keep = (
-                        self.incumbent_val is None
-                        or cover.bound > self.incumbent_val
-                    )
-                if keep and dfs(depth + 1):
-                    found = True
-                    break
-            if labels[v] != unlabelled:
-                cover.move(v, unlabelled)
-            return found
-
-        dfs(0)
+    dfs(0)
+    return best, floor, explored, cut
 
 
 def solve(model: IlpModel, limits: SolveLimits = SolveLimits()) -> SolveReport:
@@ -261,77 +240,82 @@ def solve(model: IlpModel, limits: SolveLimits = SolveLimits()) -> SolveReport:
     space is exhausted or the warm start already meets the root bound,
     ``feasible-time-limit`` with the incumbent and the root bound when
     interrupted, and ``infeasible`` when no admissible assignment exists.
+    A feasibility program is solved as maximal-soft that must reach |V|:
+    its floor is |V| - 1, a labelling at |V| ends the search, and its
+    objective is reported as 0.
     """
     start = time.perf_counter()
-    if model.kind not in (KIND_FEASIBILITY, KIND_OPTIMAL_SOFT, KIND_MAXIMAL_SOFT):
-        return SolveReport(STATUS_ERROR, None, None, None, 0.0, 0)
     domain = portfolio_domain(model.n, model.capacity, model.k, model.costs)
     if not domain:
         return SolveReport(
             STATUS_INFEASIBLE, None, None, None, time.perf_counter() - start, 0
         )
     deadline = start + limits.time_limit
+    nc = model.node_count
+    feasibility = model.kind == KIND_FEASIBILITY
     cover = _Cover(
         model.closed_neighbourhoods, model.n, model.kind != KIND_OPTIMAL_SOFT, domain
     )
     root_bound = cover.bound
-    feasibility = model.kind == KIND_FEASIBILITY
-
-    # a feasibility program whose root bound is below |V| goes straight to
-    # the search, which refutes it at the first node
-    row = value = None
+    floor, stop = (nc - 1, nc) if feasibility else (-1, math.inf)
+    row = None
     explored = 0
-    interrupted = solved = False
-    if not feasibility or root_bound == model.node_count:
-        labels, warm, interrupted = _warm_start(cover, deadline)
-        # a warm start at the root bound is optimal (for a feasibility
-        # program: satisfies every constraint); one cut by the clock
+    proven = cut = False
+    # a root bound at the floor leaves the warm start nothing to find: the
+    # search's first node refutes the program
+    if root_bound > floor:
+        labels, warm, cut = _warm_start(cover, deadline)
+        # a warm start at the root bound is optimal; one cut by the clock
         # otherwise ends the solve, so the clock never decides what a
         # proven result looks like
-        solved = warm == root_bound
-        interrupted = interrupted and not solved
-        if solved or not feasibility:
-            row, value = labels, 0.0 if feasibility else warm
-
-    if not interrupted and not solved:
+        proven = warm == root_bound
+        cut = cut and not proven
+        if warm > floor:
+            row, floor = labels, warm
+    if not (proven or cut):
         # the search fixes nodes on the same cover, from the empty labelling
-        for u in range(model.node_count):
+        for u in range(nc):
             cover.move(u, cover.unlabelled)
-        search = _Search(model, cover, limits)
-        search.incumbent_row, search.incumbent_val = row, value
-        search.run(max(deadline - time.perf_counter(), 1e-3))
-        interrupted = search.timed_out or search.node_limited
-        row, value, explored = search.incumbent_row, search.incumbent_val, search.explored
+        symmetric = model.capacity in (CAP_EXACTLY_ONE, CAP_FIXED_K)
+        found, value, explored, cut = _search(
+            cover, symmetric, floor, stop, limits, deadline
+        )
+        if found is not None:
+            row, floor = found, value
     wall = time.perf_counter() - start
 
     if row is None:
-        if interrupted:
-            return SolveReport(
-                STATUS_TIME_LIMIT, None, None, float(root_bound), wall, explored
-            )
+        if cut:
+            return SolveReport(STATUS_TIME_LIMIT, None, None, float(root_bound), wall, explored)
         return SolveReport(STATUS_INFEASIBLE, None, None, None, wall, explored)
 
-    assignment = PartitionAssignment(tuple(domain[k] for k in row), model.n)
+    assignment = _assignment_from_rows(domain, row, model.n)
     values = model.assignment_to_values(assignment)
-    objective = float(value)
+    objective = 0.0 if feasibility else float(floor)
     # the soft auxiliaries take their largest values, so the rows alone
     # cannot catch a misreported objective
     if model.violated_constraints(values) or model.objective_value(values) != objective:
         return SolveReport(STATUS_ERROR, None, None, None, wall, explored)
-    if interrupted:
-        return SolveReport(
-            STATUS_TIME_LIMIT,
-            assignment,
-            objective,
-            float(max(root_bound, objective)),
-            wall,
-            explored,
-        )
-    return SolveReport(STATUS_OPTIMAL, assignment, objective, objective, wall, explored)
+    if cut:
+        status, bound = STATUS_TIME_LIMIT, float(max(root_bound, objective))
+    else:
+        status, bound = STATUS_OPTIMAL, objective
+    return SolveReport(status, assignment, objective, bound, wall, explored)
 
 
 def _diff(a, b):
     return tuple(i for i in a if i not in b), tuple(i for i in b if i not in a)
+
+
+class _Rows(dict):
+    """A table of rows, each made by ``fill(a)`` on its first lookup."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, a):
+        row = self[a] = self.fill(a)
+        return row
 
 
 class _Cover:
@@ -360,13 +344,15 @@ class _Cover:
         self.unlabelled = len(domain)
         # (lost means, gained means) of relabelling portfolio a with b, and
         # the lost and the gained mean if that is a one-for-one swap (every
-        # exactly-one relabelling), (-1, -1) otherwise
-        self.diff = [[_diff(a, b) for b in means] for a in means]
-        self.swap = [
-            [(lost[0], gained[0]) if len(lost) == len(gained) == 1 else (-1, -1)
-             for lost, gained in row]
-            for row in self.diff
-        ]
+        # exactly-one relabelling), (-1, -1) otherwise; row a is filled when
+        # a node labelled a first moves, so a solve pays only for labels in use
+        self.diff = diff = _Rows(lambda a: [_diff(means[a], b) for b in means])
+        self.swap = _Rows(
+            lambda a: [
+                (lost[0], gained[0]) if len(lost) == len(gained) == 1 else (-1, -1)
+                for lost, gained in diff[a]
+            ]
+        )
         self.smax = max(map(len, means))
         # the means some portfolio holds: a node can see no other
         self.reach = len({i for ms in means for i in ms})

@@ -267,6 +267,29 @@ class TestDeclaration:
         assert moved.constraints == build(large, 3).constraints
 
     @pytest.mark.parametrize(
+        "declare",
+        [
+            lambda nbrs: IlpModel("bogus", CAP_EXACTLY_ONE, 2, nbrs),
+            lambda nbrs: IlpModel(KIND_OPTIMAL_SOFT, "bogus", 2, nbrs),
+            lambda nbrs: IlpModel(KIND_FEASIBILITY, CAP_FIXED_K, 2, nbrs),
+            lambda nbrs: IlpModel(KIND_MAXIMAL_SOFT, CAP_FIXED_K, 2, nbrs, k=3),
+            lambda nbrs: IlpModel(KIND_FEASIBILITY, CAP_COST, 2, nbrs),
+            lambda nbrs: dataclasses.replace(
+                IlpModel(KIND_FEASIBILITY, CAP_COST, 3, nbrs, costs=(0.5, 0.5, 1.0)), n=4
+            ),
+            lambda nbrs: IlpModel(KIND_MAXIMAL_SOFT, CAP_EXACTLY_ONE, 0, nbrs),
+            lambda nbrs: IlpModel(KIND_OPTIMAL_SOFT, CAP_EXACTLY_ONE, 2, ()),
+        ],
+        ids=[
+            "unknown-kind", "unknown-capacity", "fixed-k-without-k", "k-above-n",
+            "cost-without-costs", "replace-n-past-costs", "n-zero", "no-nodes",
+        ],
+    )
+    def test_bad_declaration_raises_when_made(self, declare):
+        with pytest.raises(ValueError):
+            declare(((0, 1), (0, 1)))
+
+    @pytest.mark.parametrize(
         "derived", [{"constraints": ()}, {"node_count": 3}, {"variables": ()}]
     )
     def test_derived_values_are_not_constructor_arguments(self, derived):

@@ -1,7 +1,9 @@
 import functools
 import hashlib
 import json
+import math
 import random
+import time
 
 import pytest
 
@@ -25,7 +27,7 @@ from udgpart.solver import (
     _Cover,
     _greedy,
     _polish,
-    _Search,
+    _search,
     _tabu,
     brute_force,
     solve,
@@ -48,6 +50,25 @@ def cover_args(m):
 def root_caps(m):
     """Per-node caps of the empty labelling, the search's root contributions."""
     return _Cover(*cover_args(m)).root_cap
+
+
+def search_alone(m, limits=SolveLimits()):
+    """The search by itself on a fresh cover of ``m``, without an incumbent.
+
+    Floor, stop and symmetry are those ``solve`` gives the program.  Returns
+    the cover, the labels found, their objective as ``solve`` reports it
+    (None if no leaf was reached), the explored nodes and whether a limit
+    cut the search.
+    """
+    cover = _Cover(*cover_args(m))
+    nc, feasibility = m.node_count, m.kind == "feasibility"
+    floor, stop = (nc - 1, nc) if feasibility else (-1, math.inf)
+    symmetric = m.capacity in ("exactly-one", "fixed-k")
+    labels, value, explored, cut = _search(
+        cover, symmetric, floor, stop, limits, time.perf_counter() + limits.time_limit
+    )
+    objective = None if labels is None else 0.0 if feasibility else value
+    return cover, labels, objective, explored, cut
 
 
 def labelled(cover, labels):
@@ -279,9 +300,8 @@ class TestSolve:
                 oracle = brute_force(m)
                 r = solve(m, SolveLimits(time_limit=30))
                 assert (r.status, r.objective) == (oracle.status, oracle.objective)
-                search = _Search(m, _Cover(*cover_args(m)), SolveLimits())
-                search.run(30)
-                assert search.incumbent_val == oracle.objective
+                _, _, objective, _, _ = search_alone(m, SolveLimits(time_limit=30))
+                assert objective == oracle.objective
                 assert oracle.objective is None or oracle.objective <= sum(caps)
 
     def test_fixed_k_equals_n_perfect(self):
@@ -300,6 +320,25 @@ class TestSolve:
             assert r.status == "optimal"
             assert r.objective == r.best_bound == bound
             assert r.explored_nodes == 0
+
+    def test_relabel_tables_fill_only_rows_in_use(self, monkeypatch):
+        # 924 portfolios of 6 of 12 means: full tables would hold 925**2
+        # pairs each; one node only ever leaves the unlabelled row and the
+        # row of its one label
+        covers = []
+
+        class Recorded(_Cover):
+            def __init__(self, *args):
+                super().__init__(*args)
+                covers.append(self)
+
+        monkeypatch.setattr(solver, "_Cover", Recorded)
+        m = build_soft_variant(graph_from_edges(1, []), 12, "maximal", k=6)
+        r = solve(m, SolveLimits(time_limit=30))
+        assert (r.status, r.objective) == ("optimal", 0.0)
+        [cover] = covers
+        assert cover.unlabelled == 924
+        assert len(cover.diff) <= 2 and len(cover.swap) <= 2
 
     @pytest.mark.parametrize("build", [build_optimal_soft, build_maximal_soft])
     def test_misreported_objective_is_an_error(self, build, monkeypatch):
@@ -349,6 +388,27 @@ class TestFeasibilityWarmStart:
         r = solve(m, SolveLimits(time_limit=30))
         assert r.status == "infeasible"
         assert r.assignment is None
+
+    @pytest.mark.parametrize(
+        "build, explored",
+        [
+            (lambda g: build_domatic_feasibility(g, 3), 1),
+            (lambda g: build_fixed_k(g, 5, 2), 1),
+            (lambda g: build_cost_based(g, 4, (1.0,) * 4), 4),
+        ],
+        ids=["e3", "k2-of-5", "unit-costs"],
+    )
+    def test_root_bound_below_node_count_is_refuted_at_the_first_node(
+        self, build, explored
+    ):
+        # no node of P2 can see n means, so the root bound 0 is below |V|:
+        # the warm start is skipped and the search refutes the program on
+        # the first branched node's children (one when the means are
+        # interchangeable, every portfolio otherwise)
+        m = build(P2)
+        assert sum(root_caps(m)) == 0
+        r = solve(m, SolveLimits(time_limit=30))
+        assert (r.status, r.assignment, r.explored_nodes) == ("infeasible", None, explored)
 
     def test_feasibility_statuses_match_oracle(self):
         statuses = set()
@@ -518,26 +578,24 @@ def test_search_alone_matches_oracle_and_recorded_path(trial):
     )
     explored = []
     for m in programs:
-        cover = _Cover(*cover_args(m))
-        search = _Search(m, cover, SolveLimits())
-        search.run(60)
-        assert not (search.timed_out or search.node_limited)
+        cover, labels, objective, nodes, cut = search_alone(m, SolveLimits(time_limit=60))
+        assert not cut
         # the search unfixes every node it fixed, back to the root bound
         assert cover.caps == cover.root_cap
         assert cover.bound == sum(cover.root_cap)
         oracle = brute_force(m)
-        if search.incumbent_row is None:
+        if labels is None:
             assert oracle.status == "infeasible"
         else:
             assert oracle.status == "optimal"
-            assert search.incumbent_val == oracle.objective
+            assert objective == oracle.objective
             assignment = PartitionAssignment(
-                tuple(domain_of(m)[p] for p in search.incumbent_row), m.n
+                tuple(domain_of(m)[p] for p in labels), m.n
             )
             values = m.assignment_to_values(assignment)
             assert m.violated_constraints(values) == []
             assert m.objective_value(values) == oracle.objective
-        explored.append(search.explored)
+        explored.append(nodes)
     assert tuple(explored) == _DFS_EXPLORED[trial]
 
 
