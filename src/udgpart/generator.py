@@ -11,15 +11,20 @@ O(G + disc area) work instead of a scan of all G^2 cells.  It is the same
 cell, from the same RNG stream, that a scan of the whole grid would pick,
 which keeps the bundled seed tables valid.
 
-The disc is computed once per placement run, as a stencil over integer cell
-offsets; each node adds the stencil, clipped at the grid edges, onto its
-block of the grid.  An offset whose
-squared length is too close to (lam G)^2 for the exact integer test to
-predict the float distance test is borderline: it is left out of the
-stencil and decided per node by that float test, so every cell is marked
-exactly as the per-cell float test marks it.
+The disc is a stencil over integer cell offsets, built once per (lam, G)
+and process: ``_disc_stencil`` keeps the last 16 pairs in an LRU cache, so
+the retries of ``generate_connected``, the graphs of a seed row and the
+samples of a ``seed_search`` probe share one, and returns it read-only.  Each
+node adds the stencil, clipped at the grid edges, onto its block of the
+grid, and the per-row free counts drop by the cells newly blocked; their
+total gives the unavailable share without another pass over the grid.  An
+offset whose squared length is too close to (lam G)^2 for the exact
+integer test to predict the float distance test is borderline: it is left
+out of the stencil and decided per node by that float test, so every cell
+is marked exactly as the per-cell float test marks it.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,8 +93,13 @@ class PlacementResult:
     placed: int
 
 
+@functools.lru_cache(maxsize=16)
 def _disc_stencil(lam: float, res: int):
     """The lam-disc of a node as a uint8 stencil over integer cell offsets.
+
+    Cached per (lam, res): 16 entries hold a whole ``DEGREE_SEEDS`` sweep
+    (15 distinct lam), and the arrays come back read-only because every
+    caller shares them.
 
     Returns ``(stencil, border_m, border_l, reach)``: offsets (m, l) in
     [-reach, reach]^2 sit at ``stencil[m + reach, l + reach]``, which is 1
@@ -124,7 +134,10 @@ def _disc_stencil(lam: float, res: int):
     lo, hi = math.ceil(target - margin), math.floor(target + margin)
     stencil = (dist2 < lo).astype(np.uint8)
     border_m, border_l = np.nonzero((lo <= dist2) & (dist2 <= hi))
-    return stencil, border_m - reach, border_l - reach, reach
+    border_m, border_l = border_m - reach, border_l - reach
+    for shared in (stencil, border_m, border_l):
+        shared.flags.writeable = False
+    return stencil, border_m, border_l, reach
 
 
 def place_nodes(params: GeneratorParams, rng=None) -> PlacementResult:
@@ -183,7 +196,8 @@ def place_nodes(params: GeneratorParams, rng=None) -> PlacementResult:
             np.subtract.at(row_free, a[marks[a, b] == 0], 1)
             marks[a, b] += 1
     coverage = np.count_nonzero(marks >= 2) / marks.size
-    unavailable = np.count_nonzero(marks) / marks.size
+    # row_free counts exactly the unmarked cells
+    unavailable = (marks.size - int(row_free.sum())) / marks.size
     graph = build_udg(placed, r_tr=params.r_tr, lam=params.lam)
     return PlacementResult(
         graph=graph,

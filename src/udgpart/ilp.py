@@ -61,8 +61,9 @@ class IlpModel:
     """A 0-1 program declared by its kind, capacity rule and neighbourhoods.
 
     The declaration is checked when the model is made: an unknown kind or
-    capacity rule, ``n`` below 1, no nodes, or a missing or invalid ``k``
-    (fixed-k) or ``costs`` (cost rule) raise :class:`ValueError`.
+    capacity rule, ``n`` below 1, no nodes, a closed neighbourhood that is
+    not a set of node indices holding its own node, or a missing or invalid
+    ``k`` (fixed-k) or ``costs`` (cost rule) raise :class:`ValueError`.
     ``variables``, ``constraints`` and ``objective`` (maximisation sense)
     are then derived from it, so a model built directly or through
     :func:`dataclasses.replace` always has the rows its neighbourhoods and
@@ -88,6 +89,7 @@ class IlpModel:
             raise ValueError("n must be >= 1")
         if not self.closed_neighbourhoods:
             raise ValueError("graph must have at least one node")
+        _validate_neighbourhoods(self.closed_neighbourhoods)
         if self.capacity == CAP_FIXED_K:
             object.__setattr__(self, "k", _validate_k(self.k, self.n))
         if self.capacity == CAP_COST:
@@ -206,6 +208,23 @@ class IlpModel:
         return float(sum(coef * values[idx] for idx, coef in self.objective))
 
 
+def _validate_neighbourhoods(nbrs):
+    """Each N[v] lists distinct node indices 0..|V|-1, v among them; O(sum |N[v]|)."""
+    count = len(nbrs)
+    for v, nv in enumerate(nbrs):
+        seen = set()
+        for w in nv:
+            if isinstance(w, bool) or not isinstance(w, int):
+                raise ValueError(f"N[{v}] holds {w!r}, not a node index")
+            if not 0 <= w < count:
+                raise ValueError(f"N[{v}] holds {w}, outside 0..{count - 1}")
+            if w in seen:
+                raise ValueError(f"N[{v}] holds {w} twice")
+            seen.add(w)
+        if v not in seen:
+            raise ValueError(f"N[{v}] lacks node {v}")
+
+
 def _validate_costs(costs, n):
     try:
         costs = tuple(float(c) for c in costs)
@@ -232,6 +251,14 @@ def portfolio_domain(n, capacity, k=None, costs=None) -> tuple[frozenset[int], .
     A single mean under exactly-one, every k-subset under fixed-k, and every
     subset whose costs sum to 1 under the cost rule: exactly the mean sets
     :func:`admissible` accepts.  ``k`` and ``costs`` are taken as validated.
+
+    Under the cost rule a depth-first walk adds the means in ascending
+    order, summing costs left to right as :func:`admissible` does, and drops
+    a branch once its sum passes 1 + 1e-9: costs are positive, so no
+    superset comes back.  It visits only the subsets that fit the budget,
+    which is still exponential in n when many costs are tiny (n costs of
+    1/n fit every subset).  The subsets come out in the order of their
+    bitmask, mean i at bit i - 1.
     """
     means = range(1, n + 1)
     if capacity == CAP_EXACTLY_ONE:
@@ -240,10 +267,20 @@ def portfolio_domain(n, capacity, k=None, costs=None) -> tuple[frozenset[int], .
         return tuple(frozenset(c) for c in itertools.combinations(means, k))
     if capacity != CAP_COST:
         raise ValueError(f"unknown capacity mode {capacity!r}")
-    subsets = ([i for i in means if mask >> (i - 1) & 1] for mask in range(1, 2**n))
+    masks = []
+    stack = [(1, 0, 0.0)]  # (next mean, subset mask, its cost sum)
+    while stack:
+        start, mask, partial = stack.pop()
+        for i in range(start, n + 1):
+            total = partial + costs[i - 1]
+            if total - 1.0 > 1e-9:
+                continue
+            grown = mask | 1 << (i - 1)
+            if abs(total - 1.0) <= 1e-9:
+                masks.append(grown)
+            stack.append((i + 1, grown, total))
     return tuple(
-        frozenset(subset) for subset in subsets
-        if admissible(subset, n, capacity, costs=costs)
+        frozenset(i for i in means if mask >> (i - 1) & 1) for mask in sorted(masks)
     )
 
 

@@ -1,15 +1,18 @@
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from udgpart import generator
 from udgpart.generator import (
     GeneratorParams,
     PlacementResult,
     SeedSearchError,
     SeedSearchTargets,
     UnreachableTargetError,
+    _disc_stencil,
     generate_connected,
     place_nodes,
     seed_search,
@@ -167,12 +170,66 @@ REFERENCE_PARAMS = [
 class TestMatchesWholeGridSampler:
     @pytest.mark.parametrize("params", REFERENCE_PARAMS)
     def test_same_result_and_rng_state(self, params):
+        _disc_stencil.cache_clear()
         rng_new = np.random.default_rng(params.rng_seed)
         rng_ref = np.random.default_rng(params.rng_seed)
         got = place_nodes(params, rng_new)
         want = whole_grid_place_nodes(params, rng_ref)
         assert got == want
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("params", REFERENCE_PARAMS)
+    def test_cached_stencil_keeps_result_and_rng_state(self, params):
+        # warm, then again after a placement at another lam in between: the
+        # result must not depend on which stencils earlier calls cached
+        rng_ref = np.random.default_rng(params.rng_seed)
+        want = whole_grid_place_nodes(params, rng_ref)
+        _disc_stencil.cache_clear()
+        place_nodes(params)
+        other = dataclasses.replace(params, node_count=3, lam=params.lam / 2)
+        for between in (None, other):
+            if between is not None:
+                place_nodes(between)
+            rng_new = np.random.default_rng(params.rng_seed)
+            assert place_nodes(params, rng_new) == want
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        assert _disc_stencil.cache_info().misses == 2
+
+
+class TestDiscStencilCache:
+    def test_cached_arrays_are_read_only(self):
+        # lam = 0.05 at G = 1000 has borderline offsets, so no array is empty
+        stencil, border_m, border_l, _ = _disc_stencil(0.05, 1000)
+        assert border_m.size > 0
+        for shared in (stencil, border_m, border_l):
+            with pytest.raises(ValueError):
+                shared[0] = 7
+        assert _disc_stencil(0.05, 1000)[0] is stencil
+
+    def test_retrying_generate_connected_builds_one_stencil(self):
+        # seed 11 on this row takes four placements
+        _disc_stencil.cache_clear()
+        r = generate_connected(params_for(degree_seed(20, 3), seed=11))
+        assert r.graph.is_connected()
+        info = _disc_stencil.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_seed_search_builds_one_stencil_per_lambda_probe(self, monkeypatch):
+        probed = []
+
+        def counting_place_nodes(params, rng=None):
+            probed.append(params.lam)
+            return place_nodes(params, rng)
+
+        monkeypatch.setattr(generator, "place_nodes", counting_place_nodes)
+        targets = SeedSearchTargets(
+            node_count=20, deg_target=4.0, sample_size=4, max_probes=30, grid_resolution=200
+        )
+        _disc_stencil.cache_clear()
+        seed_search(targets, rng_seed=77)
+        lams = set(probed)
+        assert len(probed) == targets.sample_size * len(lams)
+        assert _disc_stencil.cache_info().misses == len(lams) > 1
 
 
 # SHA-256 of prepare_graph(..., seed=7).to_json(), recorded with the

@@ -78,6 +78,64 @@ class TestAdmissible:
             admissible(frozenset((1,)), 3, "all-of-them")
 
 
+def all_subsets_domain(n, costs):
+    """Reference for the cost-rule domain: every nonempty subset, in bitmask
+    order, that :func:`admissible` accepts."""
+    subsets = ([i for i in range(1, n + 1) if mask >> (i - 1) & 1] for mask in range(1, 2**n))
+    return tuple(frozenset(s) for s in subsets if admissible(s, n, CAP_COST, costs=costs))
+
+
+# costs whose sums land just inside, on and just past the 1e-9 tolerance,
+# tiny ones that keep a full budget admissible, and ones that never add up
+# to 1 exactly (0.1, 1/3)
+EDGE_COSTS = (
+    0.5, 0.5 + 4e-10, 0.5 + 5e-10, 0.5 + 6e-10, 0.5 - 5e-10, 0.5 + 1e-9,
+    1.0 - 1e-9, 1.0 - 1.1e-9, 1.0, 0.25, 0.25 + 2.5e-10, 1e-10, 0.1, 1 / 3, 0.75,
+)
+
+
+class TestCostDomain:
+    @pytest.mark.parametrize(
+        "costs",
+        [
+            (0.5, 0.5 + 1e-9),
+            (0.5, 0.5 + 1.1e-9),
+            (0.5 - 6e-10, 0.5 - 6e-10),
+            (1.0 - 1e-9, 1e-10, 1e-10),
+            (1.0, 1e-10, 1.0 - 1e-10),
+            (0.1,) * 10,
+            (1 / 3,) * 4,
+        ],
+    )
+    def test_edge_sums_match_all_subsets(self, costs):
+        assert portfolio_domain(len(costs), CAP_COST, costs=costs) == all_subsets_domain(
+            len(costs), costs
+        )
+
+    def test_random_costs_match_all_subsets(self):
+        rng = random.Random(15)
+        admitted_near_edge = 0
+        for _ in range(400):
+            n = rng.randint(1, 10)
+            costs = tuple(rng.choice(EDGE_COSTS) for _ in range(n))
+            want = all_subsets_domain(n, costs)
+            assert portfolio_domain(n, CAP_COST, costs=costs) == want
+            admitted_near_edge += sum(
+                sum(costs[i - 1] for i in sorted(s)) != 1.0 for s in want
+            )
+        assert admitted_near_edge > 0
+
+    def test_walks_only_the_subsets_within_budget(self):
+        # 2^40 subsets, of which the C(40, 2) pairs fit the budget
+        domain = portfolio_domain(40, CAP_COST, costs=(0.5,) * 40)
+        assert domain == tuple(
+            frozenset(p) for p in sorted(
+                itertools.combinations(range(1, 41), 2),
+                key=lambda p: (1 << (p[0] - 1)) | (1 << (p[1] - 1)),
+            )
+        )
+
+
 class TestFeasibilityModel:
     def test_constraint_families(self):
         g = complete_graph(3)
@@ -279,10 +337,23 @@ class TestDeclaration:
             ),
             lambda nbrs: IlpModel(KIND_MAXIMAL_SOFT, CAP_EXACTLY_ONE, 0, nbrs),
             lambda nbrs: IlpModel(KIND_OPTIMAL_SOFT, CAP_EXACTLY_ONE, 2, ()),
+            lambda nbrs: IlpModel(KIND_MAXIMAL_SOFT, CAP_EXACTLY_ONE, 2, ((0, 1.0), (0, 1))),
+            lambda nbrs: IlpModel(KIND_MAXIMAL_SOFT, CAP_EXACTLY_ONE, 2, ((0, True), (0, 1))),
+            lambda nbrs: IlpModel(KIND_MAXIMAL_SOFT, CAP_EXACTLY_ONE, 2, ((0, 5), (1,))),
+            lambda nbrs: IlpModel(KIND_MAXIMAL_SOFT, CAP_EXACTLY_ONE, 2, ((0, -1), (0, 1))),
+            lambda nbrs: IlpModel(KIND_MAXIMAL_SOFT, CAP_EXACTLY_ONE, 2, ((0, 1, 1), (0, 1))),
+            lambda nbrs: IlpModel(KIND_FEASIBILITY, CAP_EXACTLY_ONE, 2, ((1,), (0,))),
+            lambda nbrs: dataclasses.replace(
+                IlpModel(KIND_OPTIMAL_SOFT, CAP_EXACTLY_ONE, 2, nbrs),
+                closed_neighbourhoods=((0, 1), (0, 2)),
+            ),
         ],
         ids=[
             "unknown-kind", "unknown-capacity", "fixed-k-without-k", "k-above-n",
             "cost-without-costs", "replace-n-past-costs", "n-zero", "no-nodes",
+            "float-index", "bool-index", "index-past-last-node", "negative-index",
+            "repeated-index", "node-outside-own-neighbourhood",
+            "replace-index-past-last-node",
         ],
     )
     def test_bad_declaration_raises_when_made(self, declare):
