@@ -5,7 +5,6 @@ from .adapt import (
     TargetUnreachableError,
     ThinningStrategy,
     connect_components,
-    eliminate_bridge_paths,
     eliminate_bridges,
     thin_to_degree,
 )

@@ -85,20 +85,14 @@ def connect_components(g: GeometricGraph) -> GeometricGraph:
     return g.with_edges(added, tag=TAG_JOINED)
 
 
-def eliminate_bridge_paths(g: GeometricGraph) -> GeometricGraph:
-    """Chord every bridge chain so that none of its edges stays a bridge.
+def _chain_chords(g):
+    """Sorted chords joining the nodes two apart along every bridge chain.
 
     Along a chain v_0..v_k each node up to v_{k-2} gets an edge to the node
-    two positions further, turning the chain into a strip of triangles.
-    Chains of a single bridge have no interior and are left to the general
-    bridge elimination.
+    two positions further, turning the chain into a strip of triangles, so
+    none of its edges stays a bridge.  Chains of a single bridge have no
+    interior and yield no chord.
     """
-    chords = _chain_chords(g)
-    return g.with_edges(chords, tag=TAG_DEBRIDGED) if chords else g
-
-
-def _chain_chords(g):
-    """Sorted chords joining the nodes two apart along every bridge chain."""
     chords = set()
     for chain in g.bridge_paths():
         for a, b in zip(chain, chain[2:]):

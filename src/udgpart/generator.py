@@ -7,21 +7,28 @@ yields the plane-coverage measure as the fraction of unavailable cells.
 
 Each draw picks the k-th free cell in row-major order, with k uniform over
 the free-cell count.  A per-row free count locates that cell, so a node costs
-O(G + disc area) work instead of a scan of all G^2 cells.  It is the same
-cell, from the same RNG stream, that a scan of the whole grid would pick,
-which keeps the bundled seed tables valid.
+O(G) work plus the disc area divided by 8, instead of a scan of all G^2
+cells.  It is the same cell, from the same RNG stream, that a scan of the
+whole grid would pick, which keeps the bundled seed tables valid.
 
-The disc is a stencil over integer cell offsets, built once per (lam, G)
-and process: ``_disc_stencil`` keeps the last 16 pairs in an LRU cache, so
-the retries of ``generate_connected``, the graphs of a seed row and the
-samples of a ``seed_search`` probe share one, and returns it read-only.  Each
-node adds the stencil, clipped at the grid edges, onto its block of the
-grid, and the per-row free counts drop by the cells newly blocked; their
-total gives the unavailable share without another pass over the grid.  An
-offset whose squared length is too close to (lam G)^2 for the exact
-integer test to predict the float distance test is borderline: it is left
-out of the stencil and decided per node by that float test, so every cell
-is marked exactly as the per-cell float test marks it.
+The grid state is two bit planes, one bit per cell: ``free`` for the cells no
+node is strictly within ``lam`` of, ``twice`` for those within ``lam`` of at
+least two nodes, which is what the coverage measure counts.  Rows are padded
+on both sides with never-free columns as wide as the disc's reach, so a disc
+is clipped only at the top and bottom rows.  The disc is a set of integer
+cell offsets, packed 8 to a byte once for each of the 8 bit positions a disc
+row can start at, and built once per (lam, G) and process:
+``_disc_stencil`` keeps the last 16 pairs in an LRU cache, so the retries of
+``generate_connected``, the graphs of a seed row and the samples of a
+``seed_search`` probe share one, and returns it read-only.  Per node, the
+disc ANDed with ``free`` gives the cells newly blocked, which leave ``free``
+and lower the per-row free counts by their popcount; the rest of the disc
+goes into ``twice``.  The free counts total the free cells, which gives the
+unavailable share without another pass over the grid.  An offset whose
+squared length is too close to (lam G)^2 for the exact integer test to
+predict the float distance test is borderline: it is left out of the packed
+disc and decided per node by that float test, so every cell is marked
+exactly as the per-cell float test marks it.
 """
 
 import functools
@@ -69,6 +76,9 @@ class GeneratorParams:
             raise ValueError("node_count must be >= 1")
         if not (0.0 < self.lam < self.r_tr < math.inf):
             raise ValueError("need 0 < lam < r_tr < inf")
+        if self.lam * self.lam == 0.0:
+            # the placement test d**2 < lam*lam would then block no cell
+            raise ValueError("lam too small: lam*lam underflows to 0")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
         if self.grid_resolution < 2:
@@ -95,18 +105,20 @@ class PlacementResult:
 
 @functools.lru_cache(maxsize=16)
 def _disc_stencil(lam: float, res: int):
-    """The lam-disc of a node as a uint8 stencil over integer cell offsets.
+    """The lam-disc of a node as bit-packed rows, once per start bit.
 
     Cached per (lam, res): 16 entries hold a whole ``DEGREE_SEEDS`` sweep
     (15 distinct lam), and the arrays come back read-only because every
     caller shares them.
 
-    Returns ``(stencil, border_m, border_l, reach)``: offsets (m, l) in
-    [-reach, reach]^2 sit at ``stencil[m + reach, l + reach]``, which is 1
-    where the cell (i + m, j + l) is strictly closer than ``lam`` to the node
-    at (i, j) for every node, and 0 elsewhere.  The borderline offsets, which
-    the stencil leaves at 0, are listed in ``border_m``/``border_l``; they are
-    decided per node.
+    Returns ``(shifts, border_m, border_l, reach)``.  Offsets (m, l) lie in
+    [-reach, reach]^2, and the disc holds those for which the cell
+    (i + m, j + l) is strictly closer than ``lam`` to the node at (i, j) for
+    every node.  ``shifts[s]`` is the disc packed with ``np.packbits``, in the
+    transposed layout of the placement planes: byte ``b`` of row ``m + reach``
+    sits at ``shifts[s, b, m + reach]``, and offset l is bit ``s + l + reach``
+    of that row.  The borderline offsets, which every shift leaves at 0, are
+    listed in ``border_m``/``border_l``; they are decided per node.
 
     The placement test of a cell is the float expression
     ``(a/G - i/G)**2 + (b/G - j/G)**2 < lam*lam``.  Write m = a - i,
@@ -126,18 +138,26 @@ def _disc_stencil(lam: float, res: int):
     # (lam G)**2 may overflow
     lam = min(lam, 2.0)
     reach = min(res - 1, math.ceil(lam * res) + 1)
+    side = 2 * reach + 1
     offsets = np.arange(-reach, reach + 1)
     sq = offsets * offsets
     dist2 = sq[:, None] + sq[None, :]
     target = (lam * res) ** 2
     margin = (lam * lam + 2.0) * res * res * 2.0**-48
     lo, hi = math.ceil(target - margin), math.floor(target + margin)
-    stencil = (dist2 < lo).astype(np.uint8)
+    disc = dist2 < lo
+    # room for a row of the disc after any start bit 0..7
+    width = (side + 7 + 7) // 8
+    shifts = np.empty((8, width, side), dtype=np.uint8)
+    for s in range(8):
+        row_bits = np.zeros((side, 8 * width), dtype=bool)
+        row_bits[:, s : s + side] = disc
+        shifts[s] = np.packbits(row_bits, axis=1).T
     border_m, border_l = np.nonzero((lo <= dist2) & (dist2 <= hi))
     border_m, border_l = border_m - reach, border_l - reach
-    for shared in (stencil, border_m, border_l):
+    for shared in (shifts, border_m, border_l):
         shared.flags.writeable = False
-    return stencil, border_m, border_l, reach
+    return shifts, border_m, border_l, reach
 
 
 def place_nodes(params: GeneratorParams, rng=None) -> PlacementResult:
@@ -151,17 +171,25 @@ def place_nodes(params: GeneratorParams, rng=None) -> PlacementResult:
     if rng is None:
         rng = np.random.default_rng(params.rng_seed)
     res = params.grid_resolution
-    # marks[a, b] counts the placed nodes strictly within lam of cell (a, b).
-    # Placed nodes are pairwise at least lam apart, and two points strictly
-    # within lam of a cell and at most 60 degrees apart as seen from it are
-    # closer than lam to each other, so no count exceeds 5 and uint8 holds it.
-    marks = np.zeros((res, res), dtype=np.uint8)
-    row_free = np.full(res, res, dtype=np.int64)
-    cell_coord = np.arange(res) / res
     lam, lam2 = params.lam, params.lam * params.lam
-    stencil, border_m, border_l, reach = _disc_stencil(lam, res)
-    # newly blocked cells are summed per row as uint8 into uint16, 2-3x
-    # faster than count_nonzero, whenever a stencil row fits that type
+    shifts, border_m, border_l, reach = _disc_stencil(lam, res)
+    width = shifts.shape[1]
+    # Two bit planes over the grid, one bit per cell, packed along a row
+    # (np.packbits order) and stored transposed: plane[byte, a] holds the
+    # cells (a, 8 byte - reach .. 8 byte - reach + 7).  Column b is padded
+    # column b + reach, so a node at column j starts its disc at bit j of the
+    # padded row and no disc is clipped at the left or right; the pad columns
+    # are never free.  ``free`` marks the cells no node is strictly within lam
+    # of, ``twice`` those within lam of at least two nodes (and possibly pad
+    # cells, which coverage leaves out).
+    real = np.zeros(8 * ((res - 1) // 8 + width), dtype=bool)
+    real[reach : reach + res] = True
+    real_bytes = np.packbits(real)
+    free = np.repeat(real_bytes[:, None], res, axis=1)
+    twice = np.zeros_like(free)
+    row_free = np.full(res, res, dtype=np.int64)
+    # newly blocked cells are counted per row into uint16, cheaper than int64,
+    # whenever a disc row fits that type
     row_sum = np.uint16 if 2 * reach + 1 <= np.iinfo(np.uint16).max else np.int64
     placed: list[tuple[float, float]] = []
     for _ in range(params.node_count):
@@ -173,31 +201,34 @@ def place_nodes(params: GeneratorParams, rng=None) -> PlacementResult:
         k = int(rng.integers(total))
         i = int(np.searchsorted(free_before, k, side="right"))
         k -= int(free_before[i] - row_free[i])
-        j = int((marks[i] == 0).nonzero()[0][k])
+        j = int(np.unpackbits(free[:, i]).nonzero()[0][k]) - reach
         x, y = i / res, j / res
         placed.append((x, y))
-        # the stencil clipped at the grid edges; cells past reach are outside
-        # the disc by more than the margin
-        ilo, ihi = max(0, i - reach), min(res - 1, i + reach)
-        jlo, jhi = max(0, j - reach), min(res - 1, j + reach)
-        block = marks[ilo : ihi + 1, jlo : jhi + 1]
-        disc = stencil[
-            ilo - i + reach : ihi - i + reach + 1, jlo - j + reach : jhi - j + reach + 1
-        ]
-        newly = np.greater(disc, block)
-        row_free[ilo : ihi + 1] -= np.add.reduce(newly.view(np.uint8), axis=1, dtype=row_sum)
-        block += disc
+        st = shifts[j & 7]
         if border_m.size:
-            a, b = i + border_m, j + border_l
-            keep = (ilo <= a) & (a <= ihi) & (jlo <= b) & (b <= jhi)
-            a, b = a[keep], b[keep]
-            inside = (cell_coord[a] - x) ** 2 + (cell_coord[b] - y) ** 2 < lam2
-            a, b = a[inside], b[inside]
-            np.subtract.at(row_free, a[marks[a, b] == 0], 1)
-            marks[a, b] += 1
-    coverage = np.count_nonzero(marks >= 2) / marks.size
-    # row_free counts exactly the unmarked cells
-    unavailable = (marks.size - int(row_free.sum())) / marks.size
+            # a borderline offset joins this node's disc where the float test
+            # puts it inside; off the grid it lands in a pad column or in a
+            # row cut off below
+            inside = ((i + border_m) / res - x) ** 2 + ((j + border_l) / res - y) ** 2 < lam2
+            c = (j & 7) + reach + border_l[inside]
+            st = st.copy()
+            bits = (0x80 >> (c & 7)).astype(np.uint8)
+            np.bitwise_or.at(st, (c >> 3, border_m[inside] + reach), bits)
+        # rows clipped at the grid edges; cells past reach are outside the
+        # disc by more than the margin
+        ilo, ihi = max(0, i - reach), min(res - 1, i + reach)
+        band = slice(ilo, ihi + 1)
+        cols = slice(j >> 3, (j >> 3) + width)
+        st = st[:, ilo - i + reach : ihi - i + reach + 1]
+        fr = free[cols, band]
+        newly = st & fr
+        fr ^= newly
+        twice[cols, band] |= st ^ newly
+        row_free[band] -= np.add.reduce(np.bitwise_count(newly), axis=0, dtype=row_sum)
+    cells = res * res
+    coverage = int(np.bitwise_count(twice & real_bytes[:, None]).sum()) / cells
+    # row_free counts exactly the free cells
+    unavailable = (cells - int(row_free.sum())) / cells
     graph = build_udg(placed, r_tr=params.r_tr, lam=params.lam)
     return PlacementResult(
         graph=graph,

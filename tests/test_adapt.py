@@ -12,12 +12,11 @@ from udgpart.adapt import (
     ThinningStrategy,
     _edge_connectivity,
     connect_components,
-    eliminate_bridge_paths,
     eliminate_bridges,
     thin_to_degree,
 )
 from udgpart.generator import GeneratorParams, place_nodes
-from udgpart.graphs import GeometricGraph, build_udg
+from udgpart.graphs import TAG_DEBRIDGED, GeometricGraph, build_udg
 
 from test_graphs import (
     complete_graph,
@@ -60,37 +59,6 @@ class TestConnectComponents:
             assert joined.positions == g.positions
 
 
-class TestEliminateBridgePaths:
-    def test_p4_gets_two_chords_and_no_bridges(self):
-        g = path_graph(4)
-        out = eliminate_bridge_paths(g)
-        assert set(out.edges) - set(g.edges) == {(0, 2), (1, 3)}
-        assert out.bridges == ()
-
-    def test_cycle_unchanged(self):
-        g = cycle_graph(5)
-        assert eliminate_bridge_paths(g) is g
-
-    def test_single_edge_unchanged(self):
-        g = path_graph(2)
-        assert eliminate_bridge_paths(g) is g
-
-    def test_no_multi_edge_chain_survives(self):
-        rng = random.Random(23)
-        for _ in range(20):
-            n = rng.randint(3, 12)
-            edges = {
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if rng.random() < 0.22
-            }
-            g = graph_from_edges(n, edges)
-            out = eliminate_bridge_paths(g)
-            assert out.bridge_paths() == ()
-            assert set(g.edges) <= set(out.edges)
-
-
 class TestEliminateBridges:
     def test_two_triangles_joined_by_bridge(self):
         g = graph_from_edges(
@@ -106,6 +74,40 @@ class TestEliminateBridges:
     def test_complete_graph_unchanged(self):
         g = complete_graph(4)
         assert eliminate_bridges(g) is g
+
+    def test_cycle_unchanged(self):
+        g = cycle_graph(5)
+        assert eliminate_bridges(g) is g
+
+    @pytest.mark.parametrize(
+        "n, chords",
+        [(4, {(0, 2), (1, 3)}), (6, {(0, 2), (1, 3), (2, 4), (3, 5)})],
+    )
+    def test_path_gets_chain_chords(self, n, chords):
+        g = path_graph(n)
+        out = eliminate_bridges(g)
+        assert set(out.edges) - set(g.edges) == chords
+        assert all(out.tag_of(a, b) == TAG_DEBRIDGED for a, b in chords)
+        assert out.bridges == ()
+
+    def test_no_bridge_survives_unless_a_lone_edge(self):
+        rng = random.Random(23)
+        for _ in range(20):
+            n = rng.randint(3, 12)
+            edges = {
+                (u, v)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < 0.22
+            }
+            g = graph_from_edges(n, edges)
+            if any(len(c) == 2 for c in g.connected_components):
+                with pytest.raises(IrreducibleBridgeError):
+                    eliminate_bridges(g)
+                continue
+            out = eliminate_bridges(g)
+            assert out.bridges == ()
+            assert set(g.edges) <= set(out.edges)
 
     def test_two_node_graph_is_irreducible(self):
         with pytest.raises(IrreducibleBridgeError):
@@ -159,7 +161,11 @@ class TestEliminateBridges:
 def reference_eliminate_bridges(g):
     """Debridging as one graph value per chord: a whole-graph bridge scan and
     a cut graph per chord, which the working-adjacency loop must match."""
-    g = eliminate_bridge_paths(g)
+    chords = sorted(
+        {(min(a, b), max(a, b)) for chain in g.bridge_paths() for a, b in zip(chain, chain[2:])}
+    )
+    if chords:
+        g = g.with_edges(chords, tag=TAG_DEBRIDGED)
     while g.bridges:
         u, v = g.bridges[0]
         comps = without_edge(g, u, v).connected_components

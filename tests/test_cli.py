@@ -475,6 +475,7 @@ class TestUsageErrors:
             ["generate", "--nodes", "5", "--lambda", "0.1", "--rtr", "0.3", "--grid", "1"],
             ["generate", "--nodes", "5", "--lambda", "-0.1", "--rtr", "0.3"],
             ["generate", "--nodes", "5", "--lambda", "0.1", "--rtr", "inf"],
+            ["generate", "--nodes", "5", "--lambda", "1e-200", "--rtr", "0.3"],
             ["generate", "--nodes", "5", "--lambda", "0.1", "--rtr", "0.3", "--seed", "-1"],
             [
                 "generate", "--nodes", "5", "--lambda", "0.1", "--rtr", "0.3",
@@ -496,7 +497,7 @@ class TestUsageErrors:
         ],
         ids=[
             "generate-zero-nodes", "generate-grid-1", "generate-negative-lambda",
-            "generate-infinite-rtr", "generate-negative-seed",
+            "generate-infinite-rtr", "generate-underflowing-lambda", "generate-negative-seed",
             "generate-zero-max-attempts", "seed-search-zero-samples",
             "seed-search-inverted-coverage-band", "seed-search-grid-1",
             "seed-search-zero-nodes", "seed-search-zero-max-probes",

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from udgpart import generator
 from udgpart.generator import (
@@ -52,6 +53,10 @@ class TestParams:
             GeneratorParams(node_count=5, lam=0.0, r_tr=0.4)
         with pytest.raises(ValueError):
             GeneratorParams(node_count=5, lam=0.1, r_tr=math.inf)
+        # lam*lam underflows, so no cell would be blocked and nodes could
+        # share a cell
+        with pytest.raises(ValueError):
+            GeneratorParams(node_count=5, lam=1e-200, r_tr=0.1)
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
@@ -156,6 +161,8 @@ REFERENCE_PARAMS = [
     GeneratorParams(node_count=5, lam=0.3, r_tr=0.5, grid_resolution=2, rng_seed=1),  # jams
     # (lam G)^2 = 2500 up to rounding: 20 borderline offsets decided per node
     GeneratorParams(node_count=60, lam=0.05, r_tr=0.1, rng_seed=9),
+    # 12 borderline offsets, several of them in one byte of a packed row
+    GeneratorParams(node_count=100, lam=0.082, r_tr=0.15, rng_seed=5),
     # (lam G)^2 = 196.00000000000006: the margin makes 196 borderline
     GeneratorParams(node_count=60, lam=0.07, r_tr=0.2, grid_resolution=200, rng_seed=3),
     # lam below 1/G: the disc is the centre cell alone
@@ -195,16 +202,31 @@ class TestMatchesWholeGridSampler:
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
         assert _disc_stencil.cache_info().misses == 2
 
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @given(
+        st.integers(2, 300),
+        st.floats(0.0, 1.5, exclude_min=True).filter(lambda lam: lam * lam > 0.0),
+        st.integers(1, 60),
+        st.integers(0, 2**32),
+    )
+    def test_random_params_match(self, res, lam, node_count, seed):
+        params = GeneratorParams(node_count, lam, 2 * lam, grid_resolution=res, rng_seed=seed)
+        rng_new = np.random.default_rng(seed)
+        rng_ref = np.random.default_rng(seed)
+        assert place_nodes(params, rng_new) == whole_grid_place_nodes(params, rng_ref)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
 
 class TestDiscStencilCache:
     def test_cached_arrays_are_read_only(self):
         # lam = 0.05 at G = 1000 has borderline offsets, so no array is empty
-        stencil, border_m, border_l, _ = _disc_stencil(0.05, 1000)
+        shifts, border_m, border_l, reach = _disc_stencil(0.05, 1000)
         assert border_m.size > 0
-        for shared in (stencil, border_m, border_l):
+        assert shifts.shape == (8, (2 * reach + 15) // 8, 2 * reach + 1)
+        for shared in (shifts, border_m, border_l):
             with pytest.raises(ValueError):
                 shared[0] = 7
-        assert _disc_stencil(0.05, 1000)[0] is stencil
+        assert _disc_stencil(0.05, 1000)[0] is shifts
 
     def test_retrying_generate_connected_builds_one_stencil(self):
         # seed 11 on this row takes four placements
