@@ -7,7 +7,6 @@ search, irreducible graph), 2 usage error.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -365,11 +364,6 @@ def _experiment_config(path, threads, parser):
 
 def _cmd_experiment(args, parser):
     config = _experiment_config(args.config, args.threads, parser)
-    # the files are written when the batch ends, so check the directory first
-    try:
-        os.makedirs(args.out_dir, exist_ok=True)
-    except OSError as exc:
-        parser.error(f"cannot create --out-dir {args.out_dir}: {exc}")
     records = run_experiment(config, out_dir=args.out_dir)
     solved = [r for r in records if r.status in ANSWERED]
     _emit(

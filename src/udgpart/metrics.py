@@ -9,7 +9,6 @@ import contextlib
 import csv
 import numbers
 import os
-import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -235,42 +234,30 @@ def _skipped_record(row, variant, graph_id):
     )
 
 
-# A batch streams results.csv only once it has run this long.  Cells of the
-# first second are cheap to redo, while opening the stream (a directory and a
-# file create) and one flush per cell would cost a small batch a few per cent.
-STREAM_AFTER_S = 1.0
-
-
 def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> list[ResultRecord]:
-    """Generate, adapt, solve and score the full batch; optionally write CSVs.
+    """Generate, adapt, solve and score the full batch; optionally stream CSVs.
 
     Generation failures become ``skipped`` records instead of aborting.
-    Records come in the same order for any ``threads``: each skipped record
-    when its graph fails, then the solved cells in row, graph, n and
-    objective order.  With ``out_dir``, a batch that has run for
-    ``STREAM_AFTER_S`` streams its records to ``results.csv`` from then on,
-    so a batch that dies keeps the cells it finished; at the end
-    :func:`write_aggregates` writes ``results.csv`` and the aggregate files
-    from the finished record list.
+    Records stream to ``results.csv`` as they are produced, in the same order
+    for any ``threads``: each skipped record when its graph fails, then the
+    solved cells in row, graph, n and objective order.  The aggregate files
+    are written in a second pass over the finished record list.
     """
-    records: list[ResultRecord] = []
-    started = time.monotonic()
-    handle = writer = None
+    writer = None
+    handle = None
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        handle = open(os.path.join(out_dir, "results.csv"), "w", newline="")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(RESULT_COLUMNS)
 
     def emit(record):
-        nonlocal handle, writer
         records.append(record)
-        if writer is None:
-            if out_dir is None or time.monotonic() - started < STREAM_AFTER_S:
-                return
-            os.makedirs(out_dir, exist_ok=True)
-            handle = open(os.path.join(out_dir, "results.csv"), "w", newline="")
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(RESULT_COLUMNS)
-            writer.writerows(r.to_row() for r in records[:-1])
-        writer.writerow(record.to_row())
-        handle.flush()
+        if writer is not None:
+            writer.writerow(record.to_row())
+            handle.flush()
 
+    records: list[ResultRecord] = []
     tasks = []
     for r_idx, row in enumerate(config.seed_rows):
         for g_idx in range(config.graphs_per_row):
@@ -291,9 +278,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> list
                     tasks.append((graph, n, objective, config.limits, meta))
 
     # both maps keep submission order, so the records do not depend on threads
-    workers = min(config.threads, len(tasks))
-    if workers > 1:
-        workers = min(workers, os.cpu_count() or 1)
+    workers = min(config.threads, len(tasks), os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
         for record in (pool.map if pool else map)(_solve_packed, tasks):
@@ -411,13 +396,6 @@ def _write_csv(path, header, rows):
 
 
 def write_aggregates(records, out_dir):
-    """Write ``results.csv``, one row per record, and the four aggregate files."""
-    os.makedirs(out_dir, exist_ok=True)
-    _write_csv(
-        os.path.join(out_dir, "results.csv"),
-        RESULT_COLUMNS,
-        [record.to_row() for record in records],
-    )
     _write_csv(
         os.path.join(out_dir, "agg_median_time.csv"),
         GROUP_COLUMNS + ("median_wall_time_s", "records"),

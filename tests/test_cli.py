@@ -333,15 +333,6 @@ class TestExperiment:
             main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert exc.value.code == 2
 
-    def test_uncreatable_out_dir_is_usage_error_before_the_batch(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"rows": [{"n_nodes": 20, "deg_exp": 4}]}))
-        (tmp_path / "file").write_text("")
-        monkeypatch.setattr(cli, "run_experiment", None)
-        with pytest.raises(SystemExit) as exc:
-            main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "file" / "o")])
-        assert exc.value.code == 2
-
     def test_explicit_lambda_rows_accepted(self, tmp_path, capsys):
         config = {
             "rows": [

@@ -192,28 +192,6 @@ class TestExperiment:
         ):
             assert (tmp_path / name).exists()
 
-    @pytest.mark.parametrize("stream_after_s", (0.0, metrics.STREAM_AFTER_S))
-    def test_results_csv_reads_back_as_the_records(self, tmp_path, monkeypatch, stream_after_s):
-        monkeypatch.setattr(metrics, "STREAM_AFTER_S", stream_after_s)
-        records = run_experiment(desk_config(), out_dir=str(tmp_path))
-        assert read_results_csv(tmp_path / "results.csv") == records
-
-    def test_streamed_batch_keeps_finished_cells_when_one_fails(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(metrics, "STREAM_AFTER_S", 0.0)
-        original, solved = metrics.solve_task, []
-
-        def solve_task(*task):
-            if len(solved) == 3:
-                raise RuntimeError("cell failed")
-            solved.append(original(*task))
-            return solved[-1]
-
-        monkeypatch.setattr(metrics, "solve_task", solve_task)
-        with pytest.raises(RuntimeError):
-            run_experiment(desk_config(), out_dir=str(tmp_path))
-        assert read_results_csv(tmp_path / "results.csv") == solved
-        assert not (tmp_path / "agg_median_time.csv").exists()
-
     def test_metrics_recomputed_not_copied(self, tmp_path):
         records = run_experiment(desk_config(), out_dir=str(tmp_path))
         for r in records:
