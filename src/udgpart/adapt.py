@@ -8,7 +8,7 @@ consumers can tell them from plain unit-disk edges.
 
 import heapq
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,16 +88,13 @@ def connect_components(g: GeometricGraph) -> GeometricGraph:
 def _chain_chords(g):
     """Sorted chords joining the nodes two apart along every bridge chain.
 
-    Along a chain v_0..v_k each node up to v_{k-2} gets an edge to the node
-    two positions further, turning the chain into a strip of triangles, so
-    none of its edges stays a bridge.  Chains of a single bridge have no
-    interior and yield no chord.
+    A node of degree 2 that ends two bridges is interior to a chain, and its
+    chord joins its two neighbours: the chain becomes a strip of triangles,
+    so none of its edges stays a bridge.  No chord is an edge already and no
+    two coincide, since either would close a cycle through bridges.
     """
-    chords = set()
-    for chain in g.bridge_paths():
-        for a, b in zip(chain, chain[2:]):
-            chords.add((min(a, b), max(a, b)))
-    return sorted(chords)
+    ends = Counter(v for bridge in g.bridges for v in bridge)
+    return sorted(g.neighbours(v) for v, k in ends.items() if k == 2 == g.degree(v))
 
 
 def eliminate_bridges(g: GeometricGraph) -> GeometricGraph:
@@ -181,8 +178,8 @@ def thin_to_degree(
     bridge separates u from v).  The rounds run on one working edge list and
     adjacency; the graph value is built once, at the end.
     """
-    if deg_target < 0:
-        raise ValueError("deg_target must be >= 0")
+    if not deg_target >= 0:  # NaN fails this test too
+        raise ValueError(f"deg_target must be >= 0, got {deg_target}")
     if g.node_count == 0:
         return g
     if deg_target > g.avg_degree:
@@ -197,7 +194,12 @@ def thin_to_degree(
     lengths = [g.edge_length(*e) for e in edges]
     weights = None
     if strategy.mode == "length-weighted-random":
-        weights = np.array([length**strategy.exponent for length in lengths])
+        try:
+            weights = np.array([length**strategy.exponent for length in lengths])
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ValueError(
+                f"edge weights length**{strategy.exponent} cannot be computed: {exc}"
+            ) from None
     # paths to count: 2 tells "no path", "one path" and "more" apart
     limit = 2 if strategy.forbid_new_bridges else int(strategy.forbid_disconnect)
     adj = [set(g.neighbours(v)) for v in range(nodes)]

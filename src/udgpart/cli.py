@@ -33,6 +33,9 @@ from .ilp import (
     CAP_COST,
     CAP_EXACTLY_ONE,
     CAP_FIXED_K,
+    KIND_FEASIBILITY,
+    KIND_MAXIMAL_SOFT,
+    KIND_OPTIMAL_SOFT,
     PartitionAssignment,
     _validate_costs,
     _validate_k,
@@ -459,13 +462,17 @@ def _cmd_check(args, parser):
                 f"inc_nodes mismatch: report {claimed.get('inc_nodes')}, "
                 f"recomputed {errors.inc_nodes}"
             )
-        if doc.get("status") == "optimal" and obj is not None:
-            if doc.get("kind") == "optimal-soft":
-                if g.node_count * n - obj != errors.miss_cov:
-                    problems.append("objective does not match recomputed miss_cov")
-            elif doc.get("kind") == "maximal-soft":
-                if g.node_count - obj != errors.inc_nodes:
-                    problems.append("objective does not match recomputed inc_nodes")
+        # solve checks this identity for every assignment it returns,
+        # whatever the status
+        kind = doc.get("kind")
+        if kind == KIND_FEASIBILITY and errors.miss_cov:
+            problems.append("feasibility assignment leaves coverage missing")
+        elif kind == KIND_OPTIMAL_SOFT and obj is not None:
+            if g.node_count * n - obj != errors.miss_cov:
+                problems.append("objective does not match recomputed miss_cov")
+        elif kind == KIND_MAXIMAL_SOFT and obj is not None:
+            if g.node_count - obj != errors.inc_nodes:
+                problems.append("objective does not match recomputed inc_nodes")
     _emit({"valid": not problems, "problems": problems})
     return EXIT_OK if not problems else EXIT_DOMAIN
 

@@ -230,45 +230,6 @@ class GeometricGraph:
                         out.append(_norm_edge(parent, v))
         return tuple(sorted(out))
 
-    def bridge_paths(self) -> tuple[tuple[int, ...], ...]:
-        """Maximal chains of at least two bridges through degree-2 interior nodes.
-
-        Each returned sequence lists the path's nodes in order; interior nodes
-        all have degree 2 in the graph, so both of their incident edges belong
-        to the chain.  Chains cannot close into cycles because cycle edges are
-        never bridges.
-        """
-        bridge_set = set(self.bridges)
-        deg = [len(a) for a in self._adjacency]
-        used: set[Edge] = set()
-        paths = []
-        for u0, v0 in sorted(bridge_set):
-            if (u0, v0) in used:
-                continue
-            used.add((u0, v0))
-            chain = [u0, v0]
-            for grow_front in (False, True):
-                while True:
-                    end = chain[0] if grow_front else chain[-1]
-                    prev = chain[1] if grow_front else chain[-2]
-                    if deg[end] != 2:
-                        break
-                    nxt = next(w for w in self._adjacency[end] if w != prev)
-                    e = _norm_edge(end, nxt)
-                    if e not in bridge_set or e in used:
-                        break
-                    used.add(e)
-                    if grow_front:
-                        chain.insert(0, nxt)
-                    else:
-                        chain.append(nxt)
-            if len(chain) < 3:
-                continue
-            if chain[0] > chain[-1]:
-                chain.reverse()
-            paths.append(tuple(chain))
-        return tuple(sorted(paths))
-
     # -- derivation -------------------------------------------------------
 
     def with_edges(self, new_edges: list[Edge], tag: str) -> "GeometricGraph":

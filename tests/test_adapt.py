@@ -10,6 +10,7 @@ from udgpart.adapt import (
     IrreducibleBridgeError,
     TargetUnreachableError,
     ThinningStrategy,
+    _chain_chords,
     _edge_connectivity,
     connect_components,
     eliminate_bridges,
@@ -158,12 +159,120 @@ class TestEliminateBridges:
             assert out.is_connected()
 
 
+def brute_force_bridge_paths(g):
+    """Oracle: enumerate every simple path of bridges, keep qualifying maximal ones.
+
+    A qualifying path has >= 2 edges, all of them bridges, and every interior
+    node of graph degree exactly 2.  The bridges form a forest, so there are
+    at most |V|^2 paths to enumerate.
+    """
+    bridge_set = set(g.bridges)
+
+    def qualifies(path):
+        return len(path) >= 3 and all(g.degree(v) == 2 for v in path[1:-1])
+
+    all_paths = []
+
+    def extend(path):
+        all_paths.append(tuple(path))
+        for w in g.neighbours(path[-1]):
+            if w not in path and (min(w, path[-1]), max(w, path[-1])) in bridge_set:
+                extend(path + [w])
+
+    for start in range(g.node_count):
+        extend([start])
+
+    qual = [p for p in all_paths if qualifies(p)]
+
+    def contained(p, q):
+        if len(p) >= len(q):
+            return False
+        text, hay = list(p), list(q)
+        for k in range(len(hay) - len(text) + 1):
+            if hay[k : k + len(text)] in (text, text[::-1]):
+                return True
+        return False
+
+    maximal = {
+        tuple(p if p[0] < p[-1] else p[::-1])
+        for p in qual
+        if not any(contained(p, q) for q in qual if p != q)
+    }
+    return tuple(sorted(maximal))
+
+
+def oracle_chords(g):
+    """The chords joining the nodes two apart along the oracle's chains."""
+    return sorted(
+        {
+            (min(a, b), max(a, b))
+            for chain in brute_force_bridge_paths(g)
+            for a, b in zip(chain, chain[2:])
+        }
+    )
+
+
+class TestChainChords:
+    def test_path_graph_single_chain(self):
+        g = path_graph(5)
+        assert brute_force_bridge_paths(g) == ((0, 1, 2, 3, 4),)
+        assert _chain_chords(g) == oracle_chords(g) == [(0, 2), (1, 3), (2, 4)]
+
+    def test_two_triangles_joined_by_three_edge_chain(self):
+        # triangles {0,1,2} and {5,6,7}, chain 2-3-4-5 of degree-2 interiors
+        g = graph_from_edges(
+            8,
+            [(0, 1), (0, 2), (1, 2), (5, 6), (5, 7), (6, 7), (2, 3), (3, 4), (4, 5)],
+        )
+        assert brute_force_bridge_paths(g) == ((2, 3, 4, 5),)
+        assert _chain_chords(g) == oracle_chords(g) == [(2, 4), (3, 5)]
+
+    def test_cycle_has_none(self):
+        g = cycle_graph(6)
+        assert brute_force_bridge_paths(g) == ()
+        assert _chain_chords(g) == []
+
+    def test_single_bridge_is_not_a_chain(self):
+        g = graph_from_edges(
+            6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]
+        )
+        assert brute_force_bridge_paths(g) == ()
+        assert _chain_chords(g) == []
+
+    def test_chains_meeting_at_a_degree_3_node(self):
+        # arms 0-1-2-3, 0-4-5 and the single bridge 0-6 meet at node 0,
+        # which is interior to none of them
+        g = graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (0, 6)])
+        assert brute_force_bridge_paths(g) == ((0, 1, 2, 3), (0, 4, 5))
+        assert _chain_chords(g) == oracle_chords(g) == [(0, 2), (0, 5), (1, 3)]
+
+    def test_pendant_chain(self):
+        # triangle 0-1-2 with the chain 2-3-4-5 ending at the leaf 5
+        g = graph_from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)])
+        assert brute_force_bridge_paths(g) == ((2, 3, 4, 5),)
+        assert _chain_chords(g) == oracle_chords(g) == [(2, 4), (3, 5)]
+
+    def test_matches_enumeration_oracle_on_random_sparse_graphs(self):
+        rng = random.Random(17)
+        chorded = 0
+        for _ in range(25):
+            n = rng.randint(3, 9)
+            edges = {
+                (u, v)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < 0.25
+            }
+            g = graph_from_edges(n, edges)
+            assert _chain_chords(g) == oracle_chords(g)
+            chorded += bool(_chain_chords(g))
+        assert chorded
+
+
 def reference_eliminate_bridges(g):
     """Debridging as one graph value per chord: a whole-graph bridge scan and
     a cut graph per chord, which the working-adjacency loop must match."""
-    chords = sorted(
-        {(min(a, b), max(a, b)) for chain in g.bridge_paths() for a, b in zip(chain, chain[2:])}
-    )
+    chords = oracle_chords(g)
     if chords:
         g = g.with_edges(chords, tag=TAG_DEBRIDGED)
     while g.bridges:

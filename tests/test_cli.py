@@ -7,7 +7,7 @@ from udgpart import cli, ilp
 from udgpart.cli import main
 from udgpart.graphs import GeometricGraph
 
-from test_graphs import complete_graph, star_graph
+from test_graphs import complete_graph, path_graph, star_graph
 
 
 def run_cli(capsys, *argv):
@@ -282,6 +282,42 @@ class TestCheck:
         assert code == 0
         assert summary == {"valid": True, "problems": []}
 
+    def _path_report(self, tmp_path, capsys, kind, status, means, errors, objective):
+        """Check a hand-made report on the path 0-1-2 with n = 3."""
+        src = write_graph(tmp_path / "g.json", path_graph(3))
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps({
+            "status": status,
+            "objective_value": objective,
+            "kind": kind,
+            "n": 3,
+            "assignment": {str(v): [m] for v, m in enumerate(means)},
+            "errors": dict(zip(("miss_cov", "inc_nodes"), errors)),
+        }))
+        return run_cli(capsys, "check", "--graph", src, "--report", str(report))
+
+    def test_feasibility_assignment_must_cover_every_node(self, tmp_path, capsys):
+        # every node on mean 1 with honest counts: 2 means missing at each node
+        code, summary = self._path_report(
+            tmp_path, capsys, "feasibility", "optimal", (1, 1, 1), (6, 3), 0.0
+        )
+        assert code == 1
+        assert summary["problems"] == ["feasibility assignment leaves coverage missing"]
+
+    def test_objective_checked_whatever_the_status(self, tmp_path, capsys):
+        # means 1/2/3 leave one mean missing at each end: miss_cov 2, and
+        # |V|·n - miss_cov = 7 is the only objective that matches
+        for status in ("optimal", "feasible-time-limit"):
+            code, summary = self._path_report(
+                tmp_path, capsys, "optimal-soft", status, (1, 2, 3), (2, 2), 7.0
+            )
+            assert (code, summary["valid"]) == (0, True)
+            code, summary = self._path_report(
+                tmp_path, capsys, "optimal-soft", status, (1, 2, 3), (2, 2), 99.0
+            )
+            assert code == 1
+            assert summary["problems"] == ["objective does not match recomputed miss_cov"]
+
 
 class TestExportLp:
     def test_file_written_and_stable(self, tmp_path, capsys):
@@ -518,3 +554,38 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "graph, flags",
+        [
+            ("star", ["--thin-to", "nan"]),
+            ("readme", ["--thin-to", "3.5", "--exponent", "-1000"]),
+            ("coincident", ["--thin-to", "1.5", "--exponent", "-2"]),
+        ],
+        ids=["adapt-nan-thin-to", "adapt-overflowing-weights", "adapt-zero-length-weights"],
+    )
+    def test_thinning_it_cannot_use_is_usage_error(self, tmp_path, capsys, graph, flags):
+        src = tmp_path / "g.json"
+        if graph == "star":
+            write_graph(src, star_graph(5))
+        elif graph == "readme":
+            # the CLI walkthrough's graph: lengths down to lambda = 0.143, so
+            # length**-1000 overflows
+            main([
+                "generate", "--nodes", "40", "--lambda", "0.143372", "--rtr", "0.235803",
+                "--seed", "7", "--require-connected", "--out", str(src),
+            ])
+            capsys.readouterr()
+        else:
+            # the loader does not re-check lambda: nodes 0 and 1 coincide, so
+            # 0.0**-2 divides by zero
+            src.write_text(json.dumps({
+                "lambda": 0.0, "r_tr": 1.0,
+                "nodes": [[0.2, 0.2], [0.2, 0.2], [0.5, 0.5]],
+                "edges": [[0, 1], [0, 2], [1, 2]],
+            }))
+        with pytest.raises(SystemExit) as exc:
+            main(["adapt", "--graph", str(src), *flags, "--out", str(tmp_path / "o.json")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "o.json").exists()

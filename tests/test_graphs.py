@@ -302,88 +302,6 @@ class TestBridges:
                 assert after == before + 1
 
 
-def brute_force_bridge_paths(g):
-    """Oracle: enumerate every simple path, keep qualifying maximal ones.
-
-    A qualifying path has >= 2 edges, all of them bridges, and every interior
-    node of graph degree exactly 2.
-    """
-    bridge_set = set(g.bridges)
-
-    def qualifies(path):
-        if len(path) < 3:
-            return False
-        for a, b in zip(path, path[1:]):
-            if (min(a, b), max(a, b)) not in bridge_set:
-                return False
-        return all(g.degree(v) == 2 for v in path[1:-1])
-
-    all_paths = []
-
-    def extend(path):
-        all_paths.append(tuple(path))
-        for w in g.neighbours(path[-1]):
-            if w not in path:
-                extend(path + [w])
-
-    for start in range(g.node_count):
-        extend([start])
-
-    qual = [p for p in all_paths if qualifies(p)]
-
-    def contained(p, q):
-        if len(p) >= len(q):
-            return False
-        text, hay = list(p), list(q)
-        for k in range(len(hay) - len(text) + 1):
-            if hay[k : k + len(text)] in (text, text[::-1]):
-                return True
-        return False
-
-    maximal = {
-        tuple(p if p[0] < p[-1] else p[::-1])
-        for p in qual
-        if not any(contained(p, q) for q in qual if p != q)
-    }
-    return tuple(sorted(maximal))
-
-
-class TestBridgePaths:
-    def test_path_graph_single_chain(self):
-        assert path_graph(5).bridge_paths() == ((0, 1, 2, 3, 4),)
-
-    def test_two_triangles_joined_by_three_edge_chain(self):
-        # triangles {0,1,2} and {5,6,7}, chain 2-3-4-5 of degree-2 interiors
-        g = graph_from_edges(
-            8,
-            [(0, 1), (0, 2), (1, 2), (5, 6), (5, 7), (6, 7), (2, 3), (3, 4), (4, 5)],
-        )
-        assert g.bridge_paths() == ((2, 3, 4, 5),)
-        assert g.bridge_paths() == brute_force_bridge_paths(g)
-
-    def test_cycle_has_none(self):
-        assert cycle_graph(6).bridge_paths() == ()
-
-    def test_single_bridge_is_not_a_chain(self):
-        g = graph_from_edges(
-            6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]
-        )
-        assert g.bridge_paths() == ()
-
-    def test_matches_enumeration_oracle_on_random_sparse_graphs(self):
-        rng = random.Random(17)
-        for _ in range(25):
-            n = rng.randint(3, 9)
-            edges = {
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if rng.random() < 0.25
-            }
-            g = graph_from_edges(n, edges)
-            assert g.bridge_paths() == brute_force_bridge_paths(g)
-
-
 class TestJsonRoundTrip:
     def test_round_trip_is_identity(self):
         g = build_udg([(0.1, 0.2), (0.2, 0.2), (0.7, 0.9)], r_tr=0.15, lam=0.05)
