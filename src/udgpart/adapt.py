@@ -6,10 +6,10 @@ deliberately engineered long links and carry a provenance tag so downstream
 consumers can tell them from plain unit-disk edges.
 """
 
-import heapq
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -44,9 +44,8 @@ def connect_components(g: GeometricGraph) -> GeometricGraph:
     """Join the connected components along geometrically nearest node pairs.
 
     For every pair of components the closest cross pair is a candidate; the
-    globally shortest candidate is added first, candidates between now-merged
-    components lapse, and the loop runs until one component remains.  Added
-    edges are tagged ``joined``.
+    candidates are taken shortest first, and one lapses when its components
+    are already merged.  Added edges are tagged ``joined``.
     """
     comps = g.connected_components
     if len(comps) <= 1:
@@ -55,15 +54,10 @@ def connect_components(g: GeometricGraph) -> GeometricGraph:
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
-    heap = []
-    for a in range(len(comps)):
-        for b in range(a + 1, len(comps)):
-            best = min(
-                (g.edge_length(u, v), u, v)
-                for u in sorted(comps[a])
-                for v in sorted(comps[b])
-            )
-            heapq.heappush(heap, best)
+    candidates = sorted(
+        min((g.edge_length(u, v), u, v) for u in a for v in b)
+        for a, b in combinations(comps, 2)
+    )
     parent = list(range(len(comps)))
 
     def find(c):
@@ -73,15 +67,11 @@ def connect_components(g: GeometricGraph) -> GeometricGraph:
         return c
 
     added = []
-    merges_left = len(comps) - 1
-    while merges_left:
-        _, u, v = heapq.heappop(heap)
+    for _, u, v in candidates:
         cu, cv = find(comp_of[u]), find(comp_of[v])
-        if cu == cv:
-            continue
-        parent[cu] = cv
-        added.append((u, v))
-        merges_left -= 1
+        if cu != cv:
+            parent[cu] = cv
+            added.append((u, v))
     return g.with_edges(added, tag=TAG_JOINED)
 
 
@@ -107,8 +97,10 @@ def eliminate_bridges(g: GeometricGraph) -> GeometricGraph:
     on two nodes cannot be repaired at all.
 
     Chords only mend bridges, so one walk over the input's bridges meets the
-    standing ones smallest first; on one working adjacency a search from u
-    finds u's side or, reaching v, a mended bridge.  One graph value results.
+    standing ones smallest first.  On one working adjacency, thinning's search
+    runs from u and v at once with the bridge barred: the two trees meet on a
+    mended bridge, or the smaller side is used up first, and the other side is
+    the rest of the component.  One graph value results.
     """
     chords = _chain_chords(g)
     adj = [set(g.neighbours(v)) for v in range(g.node_count)]
@@ -116,12 +108,13 @@ def eliminate_bridges(g: GeometricGraph) -> GeometricGraph:
         adj[a].add(b)
         adj[b].add(a)
     for u, v in g.bridges:
-        side_u = _side(adj, u, v)
-        if side_u is None:
+        path, side = _augmenting_path(adj, {(u, v)}, u, v)
+        if path is not None:
             continue
-        a_side = side_u - {u}
-        # chords never join components, so v's side is the rest of u's
-        b_side = next(c for c in g.connected_components if u in c) - side_u - {v}
+        # chords never join components, so the other side is the rest of it
+        rest = next(c for c in g.connected_components if u in c) - side
+        a_side, b_side = (side, rest) if u in side else (rest, side)
+        a_side, b_side = a_side - {u}, b_side - {v}
         if a_side and b_side:
             _, a, b = min(
                 (g.edge_length(a, b), a, b) for a in a_side for b in b_side
@@ -144,20 +137,6 @@ def eliminate_bridges(g: GeometricGraph) -> GeometricGraph:
     return g.with_edges(chords, tag=TAG_DEBRIDGED) if chords else g
 
 
-def _side(adj, u, v):
-    """The nodes reachable from u without the edge {u, v}, or None if v is one."""
-    stack = [w for w in adj[u] if w != v]
-    seen = {u, *stack}
-    while stack:
-        for b in adj[stack.pop()]:
-            if b == v:
-                return None
-            if b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return seen
-
-
 def thin_to_degree(
     g: GeometricGraph,
     deg_target: float,
@@ -168,9 +147,11 @@ def thin_to_degree(
 
     Edge choice follows the strategy: longest edge first (ties broken on the
     smaller endpoint pair), by random draw weighted with length^exponent, or
-    uniformly at random.  Edges whose removal would disconnect the graph or
-    create a new bridge are only skipped for the round in which they would;
-    they stay candidates for later rounds.
+    uniformly at random.  ``rng`` is a numpy ``Generator`` or a seed for
+    ``numpy.random.default_rng`` (``None`` means seed 0), so a seed draws
+    the same edges as ``default_rng(seed)`` passed in.  Edges whose removal
+    would disconnect the graph or create a new bridge are only skipped for
+    the round in which they would; they stay candidates for later rounds.
 
     Both tests are local to the drawn edge {u, v}: with it removed, u and v
     are joined by no path exactly when it is a bridge, and by exactly one
@@ -188,8 +169,7 @@ def thin_to_degree(
         )
     if g.avg_degree == deg_target:
         return g
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0 if rng is None else rng)
     edges, nodes = g.edges, g.node_count
     lengths = [g.edge_length(*e) for e in edges]
     weights = None
@@ -261,7 +241,7 @@ def _edge_connectivity(adj, u, v, limit):
     """
     flow = set()  # arcs (a, b) of the first path, directed from u to v
     for found in range(limit):
-        path = _augmenting_path(adj, flow, u, v)
+        path, _ = _augmenting_path(adj, flow, u, v)
         if path is None:
             return found
         flow.update(path)
@@ -269,11 +249,12 @@ def _edge_connectivity(adj, u, v, limit):
 
 
 def _augmenting_path(adj, flow, u, v):
-    """Arcs of a u-v path that uses no arc in ``flow``, or None if there is none.
+    """``(arcs, None)`` for a u-v path that uses no arc in ``flow``, else ``(None, side)``.
 
     One search tree grows from u and one from v, a node of each in turn,
     until they share a node.  A short path is found next to u and v, and a
-    failed search stops when the smaller side of the cut is used up.
+    failed search stops when the smaller side of the cut is used up: ``side``
+    holds the nodes of that tree, all that its root reaches.
     """
     trees = ({u: None}, {v: None})
     queues = (deque([u]), deque([v]))
@@ -286,10 +267,10 @@ def _augmenting_path(adj, flow, u, v):
                 continue
             tree[b] = a
             if b in other:
-                return _tree_path(trees, b)
+                return _tree_path(trees, b), None
             queues[side].append(b)
         side = 1 - side
-    return None
+    return None, trees[0 if not queues[0] else 1].keys()
 
 
 def _tree_path(trees, meet):

@@ -50,7 +50,7 @@ from .ilp import (
 )
 from .metrics import ExperimentConfig, coverage_errors, run_experiment
 from .seeds import SeedTableRow, degree_seed, rows_to_csv
-from .solver import ANSWERED, SolveLimits, solve
+from .solver import ANSWERED, STATUS_OPTIMAL, SolveLimits, solve
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -402,11 +402,22 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _report_number(doc, key, parser, path):
+    """The report's number under ``key``, or None; any other value exits 2."""
+    value = doc.get(key)
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, (int, float))
+    ):
+        parser.error(f"report {path}: {key} must be a number, got {value!r}")
+    return value
+
+
 def _report_assignment(doc, g, n, parser, path):
     """The report's assignment, None if it carries none; a malformed one exits 2.
 
-    A well-formed assignment that misses a node, gives one no mean or names
-    a mean outside 1..n is returned as the problem it is, not an error.
+    A well-formed assignment that misses a node, names one the graph lacks
+    (its keys must be exactly "0" to "|V|-1"), gives one no mean or names a
+    mean outside 1..n is returned as the problem it is, not an error.
     """
     raw = doc.get("assignment")
     if raw is None:
@@ -418,6 +429,9 @@ def _report_assignment(doc, g, n, parser, path):
         parser.error(
             f"report {path}: assignment must map node ids to lists of integer means"
         )
+    strangers = sorted(set(raw) - {str(v) for v in range(g.node_count)})
+    if strangers:
+        return None, f"assignment names nodes the graph lacks: {strangers}"
     try:
         return PartitionAssignment(
             tuple(frozenset(raw[str(v)]) for v in range(g.node_count)), n
@@ -440,11 +454,17 @@ def _cmd_check(args, parser):
     claimed = doc.get("errors") or {}
     if not isinstance(claimed, dict):
         parser.error(f"report {args.report}: errors must be an object, got {claimed!r}")
-    obj = doc.get("objective_value")
-    if obj is not None and (isinstance(obj, bool) or not isinstance(obj, (int, float))):
-        parser.error(f"report {args.report}: objective_value must be a number, got {obj!r}")
+    obj = _report_number(doc, "objective_value", parser, args.report)
+    bound = _report_number(doc, "best_bound", parser, args.report)
     assignment, problem = _report_assignment(doc, g, n, parser, args.report)
     problems = [problem] if problem else []
+    # solve never reports a bound below its objective, and proves optimality
+    # only by meeting the bound
+    if obj is not None and bound is not None:
+        if bound < obj:
+            problems.append(f"best_bound {bound} below objective_value {obj}")
+        elif doc.get("status") == STATUS_OPTIMAL and bound != obj:
+            problems.append(f"optimal with best_bound {bound} != objective_value {obj}")
     if assignment is not None:
         for v, means in enumerate(assignment.assign):
             if not admits(means):

@@ -13,8 +13,6 @@ import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .adapt import ThinningStrategy, eliminate_bridges, thin_to_degree
 from .generator import GeneratorParams, UnreachableTargetError, generate_connected
 from .graphs import GeometricGraph
@@ -158,6 +156,17 @@ _RESULT_PARSERS = tuple(
 )
 
 
+_SG1_THINNING = ThinningStrategy(
+    mode="length-weighted-random", exponent=2.0, forbid_disconnect=True
+)
+_SG2_THINNING = ThinningStrategy(
+    mode="length-weighted-random",
+    exponent=2.0,
+    forbid_disconnect=True,
+    forbid_new_bridges=True,
+)
+
+
 def prepare_graph(row: SeedTableRow, variant: str, seed: int, max_attempts: int) -> GeometricGraph:
     """Generate one connected graph for a seed row and adapt it per variant.
 
@@ -169,20 +178,12 @@ def prepare_graph(row: SeedTableRow, variant: str, seed: int, max_attempts: int)
         node_count=row.node_count, lam=row.lam, r_tr=row.r_tr, rng_seed=seed
     )
     g = generate_connected(params, max_attempts=max_attempts).graph
+    strategy = _SG1_THINNING
     if variant == VARIANT_DEBRIDGE_THIN:
         g = eliminate_bridges(g)
-        strategy = ThinningStrategy(
-            mode="length-weighted-random",
-            exponent=2.0,
-            forbid_disconnect=True,
-            forbid_new_bridges=True,
-        )
-    else:
-        strategy = ThinningStrategy(
-            mode="length-weighted-random", exponent=2.0, forbid_disconnect=True
-        )
+        strategy = _SG2_THINNING
     if g.avg_degree > row.deg_exp:
-        g = thin_to_degree(g, row.deg_exp, strategy, np.random.default_rng(seed + 1))
+        g = thin_to_degree(g, row.deg_exp, strategy, seed + 1)
     return g
 
 
@@ -277,8 +278,11 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> list
                 for objective in config.objectives:
                     tasks.append((graph, n, objective, config.limits, meta))
 
-    # both maps keep submission order, so the records do not depend on threads
-    workers = min(config.threads, len(tasks), os.cpu_count() or 1)
+    # both maps keep submission order, so the records do not depend on threads;
+    # the CPU count is read only when a pool may start
+    workers = min(config.threads, len(tasks))
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     with pool or contextlib.nullcontext():
         for record in (pool.map if pool else map)(_solve_packed, tasks):

@@ -37,7 +37,9 @@ STATUS_OPTIMAL = "optimal"
 STATUS_TIME_LIMIT = "feasible-time-limit"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_ERROR = "error"
-# the statuses that come with an assignment
+# the statuses that answer a solve, on which ``partition`` exits 0; a
+# feasibility search cut before any satisfying labelling answers
+# feasible-time-limit with the root bound alone, without an assignment
 ANSWERED = (STATUS_OPTIMAL, STATUS_TIME_LIMIT)
 
 
@@ -204,8 +206,6 @@ def _search(cover, symmetric, floor, stop, limits, deadline):
 
     def dfs(depth):
         nonlocal best, floor, explored, cut
-        if cut:
-            return False
         if depth == nc:
             # the last fix kept this leaf only because its bound, exact
             # here, is above the floor
@@ -215,6 +215,9 @@ def _search(cover, symmetric, floor, stop, limits, deadline):
         done = False
         # siblings relabel v in place; it is unfixed once they are done
         for p in first_children if depth == 0 else children:
+            # a cut below ends every loop on the way up, before it counts
+            if cut:
+                break
             explored += 1
             if explored >= node_limit or (
                 (explored & 0xFF) == 0 and time.perf_counter() >= deadline

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 import random
@@ -10,6 +11,7 @@ from udgpart.adapt import (
     IrreducibleBridgeError,
     TargetUnreachableError,
     ThinningStrategy,
+    _augmenting_path,
     _chain_chords,
     _edge_connectivity,
     connect_components,
@@ -58,6 +60,55 @@ class TestConnectComponents:
             assert joined.is_connected()
             assert set(g.edges) <= set(joined.edges)
             assert joined.positions == g.positions
+
+
+def reference_connect_components(g):
+    """Test-only copy of the heap algorithm: pop the globally shortest
+    candidate, let those between merged components lapse, and stop once one
+    component remains."""
+    comps = g.connected_components
+    if len(comps) <= 1:
+        return g
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    heap = []
+    for a in range(len(comps)):
+        for b in range(a + 1, len(comps)):
+            heapq.heappush(heap, min(
+                (g.edge_length(u, v), u, v)
+                for u in sorted(comps[a])
+                for v in sorted(comps[b])
+            ))
+    merged = [{ci} for ci in range(len(comps))]
+    added = []
+    while len(added) < len(comps) - 1:
+        _, u, v = heapq.heappop(heap)
+        a, b = merged[comp_of[u]], merged[comp_of[v]]
+        if a is b:
+            continue
+        a |= b
+        for ci in b:
+            merged[ci] = a
+        added.append((u, v))
+    return g.with_edges(added, tag="joined")
+
+
+class TestMatchesHeapJoining:
+    def test_same_edges_on_placements_with_many_components(self):
+        rng = random.Random(83)
+        components = []
+        for seed in range(12):
+            nodes = rng.randint(20, 150)
+            params = GeneratorParams(
+                node_count=nodes,
+                lam=0.01,
+                r_tr=rng.uniform(1.2, 2.4) * math.sqrt(1.0 / (math.pi * nodes)),
+                rng_seed=seed,
+            )
+            g = place_nodes(params).graph
+            components.append(len(g.connected_components))
+            got, want = connect_components(g), reference_connect_components(g)
+            assert (got.edges, got.edge_tags) == (want.edges, want.edge_tags)
+        assert min(components) >= 5 and max(components) >= 50
 
 
 class TestEliminateBridges:
@@ -438,6 +489,15 @@ class TestThinToDegree:
         b = thin_to_degree(g, 3.0, s, np.random.default_rng(9))
         assert a.edges == b.edges
 
+    def test_seed_draws_as_its_generator(self):
+        pts = [(0.08 * i, 0.05 * ((i * 7) % 13)) for i in range(12)]
+        g = build_udg(pts, r_tr=0.5)
+        s = ThinningStrategy(mode="length-weighted-random", exponent=2.0)
+        for seed in (0, 9, 2**40):
+            by_seed = thin_to_degree(g, 3.0, s, seed)
+            assert by_seed.edges == thin_to_degree(g, 3.0, s, np.random.default_rng(seed)).edges
+        assert thin_to_degree(g, 3.0, s).edges == thin_to_degree(g, 3.0, s, 0).edges
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             ThinningStrategy(mode="by-vibes")
@@ -566,6 +626,7 @@ class TestEdgeConnectivity:
             }
             g = graph_from_edges(n, edges)
             bridges = set(g.bridges)
+            full = [set(g.neighbours(w)) for w in range(n)]
             for u, v in g.edges:
                 cut = without_edge(g, u, v)
                 adj = [set(cut.neighbours(w)) for w in range(n)]
@@ -576,3 +637,13 @@ class TestEdgeConnectivity:
                 # the rules thinning relies on
                 assert (paths == 0) == ((u, v) in bridges)
                 assert (paths == 1) == (not bridges.issuperset(cut.bridges))
+                # debridging's search: the one arc (u, v) bars the edge both
+                # ways, and a failed search returns its root's whole side
+                path, side = _augmenting_path(full, {(u, v)}, u, v)
+                assert (path is None) == (side is not None) == (paths == 0)
+                if side is not None:
+                    assert (u in side) != (v in side)
+                    root = u if u in side else v
+                    assert set(side) == next(
+                        c for c in cut.connected_components if root in c
+                    )

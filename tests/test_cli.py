@@ -6,6 +6,7 @@ import pytest
 from udgpart import cli, ilp
 from udgpart.cli import main
 from udgpart.graphs import GeometricGraph
+from udgpart.seeds import rows_from_csv
 
 from test_graphs import complete_graph, path_graph, star_graph
 
@@ -153,6 +154,57 @@ class TestPartition:
         )
         assert code == 0
         assert summary["status"] == "optimal"
+
+    @pytest.mark.parametrize(
+        "objective, flags, kind, capacity",
+        [
+            ("feasible", ("--costs", "0.5,0.5,1.0"), "feasibility", "cost"),
+            ("maximal", ("--k", "2"), "maximal-soft", "fixed-k"),
+        ],
+    )
+    def test_capacity_variants_solve(
+        self, tmp_path, capsys, objective, flags, kind, capacity
+    ):
+        src = write_graph(tmp_path / "g.json", complete_graph(3))
+        report = tmp_path / "r.json"
+        code, summary = run_cli(
+            capsys,
+            "partition", "--graph", src, "--n", "3", "--objective", objective,
+            *flags, "--out", str(report),
+        )
+        assert (code, summary["status"]) == (0, "optimal")
+        doc = json.loads(report.read_text())
+        assert (doc["kind"], doc["capacity"]["mode"]) == (kind, capacity)
+        code, summary = run_cli(capsys, "check", "--graph", src, "--report", str(report))
+        assert (code, summary["valid"]) == (0, True)
+
+
+class TestSeedSearch:
+    def test_found_row_is_written_as_csv(self, tmp_path, capsys):
+        out = tmp_path / "row.csv"
+        code, summary = run_cli(
+            capsys,
+            "seed-search", "--nodes", "20", "--deg", "4", "--seed", "9",
+            "--samples", "5", "--max-probes", "30", "--out", str(out),
+        )
+        assert code == 0
+        [row] = rows_from_csv(out.read_text())
+        assert (row.node_count, row.deg_exp) == (20, 4.0)
+        assert (row.lam, row.r_tr, row.mean_coverage) == (
+            summary["lambda"], summary["r_tr"], summary["mean_coverage"]
+        )
+
+    def test_exhausted_probes_exit_1_with_the_best_probe(self, tmp_path, capsys):
+        out = tmp_path / "row.csv"
+        code, summary = run_cli(
+            capsys,
+            "seed-search", "--nodes", "20", "--deg", "4", "--seed", "9",
+            "--samples", "5", "--max-probes", "1", "--out", str(out),
+        )
+        assert code == 1
+        assert summary["error"] == "search-failed"
+        assert len(summary["best_probe"]) == 4
+        assert not out.exists()
 
 
 class TestCheck:
@@ -318,6 +370,74 @@ class TestCheck:
             assert code == 1
             assert summary["problems"] == ["objective does not match recomputed miss_cov"]
 
+    def test_maximal_objective_checked_against_inc_nodes(self, tmp_path, capsys):
+        # means 1/2/3 leave both ends incomplete: inc_nodes 2, objective 1
+        code, summary = self._path_report(
+            tmp_path, capsys, "maximal-soft", "optimal", (1, 2, 3), (2, 2), 1.0
+        )
+        assert (code, summary["valid"]) == (0, True)
+        code, summary = self._path_report(
+            tmp_path, capsys, "maximal-soft", "optimal", (1, 2, 3), (2, 2), 2.0
+        )
+        assert code == 1
+        assert summary["problems"] == ["objective does not match recomputed inc_nodes"]
+
+    def test_unreadable_report_is_usage_error(self, tmp_path):
+        src = write_graph(tmp_path / "g.json", complete_graph(3))
+        report = tmp_path / "r.json"
+        report.write_text("{not json")
+        for path in (report, tmp_path / "missing.json"):
+            with pytest.raises(SystemExit) as exc:
+                main(["check", "--graph", src, "--report", str(path)])
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("key", ["99", "abc", "01"])
+    def test_assignment_naming_a_node_the_graph_lacks_is_rejected(
+        self, tmp_path, capsys, key
+    ):
+        src, report = self._partition_report(tmp_path, capsys, complete_graph(3))
+        doc = json.loads(report.read_text())
+        doc["assignment"][key] = [1]
+        report.write_text(json.dumps(doc))
+        code, summary = run_cli(capsys, "check", "--graph", src, "--report", str(report))
+        assert code == 1
+        assert summary["problems"] == [f"assignment names nodes the graph lacks: ['{key}']"]
+
+    def test_bound_below_objective_is_rejected(self, tmp_path, capsys):
+        src, report = self._partition_report(tmp_path, capsys, complete_graph(3))
+        doc = json.loads(report.read_text())
+        doc["status"], doc["best_bound"] = "feasible-time-limit", doc["objective_value"] - 1
+        report.write_text(json.dumps(doc))
+        code, summary = run_cli(capsys, "check", "--graph", src, "--report", str(report))
+        assert code == 1
+        assert summary["problems"] == ["best_bound 8.0 below objective_value 9.0"]
+
+    def test_optimal_must_meet_its_bound(self, tmp_path, capsys):
+        # a bound above the objective is what a cut solve reports, not a proof
+        src, report = self._partition_report(tmp_path, capsys, complete_graph(3))
+        doc = json.loads(report.read_text())
+        doc["best_bound"] = doc["objective_value"] + 1
+        for status, problems in (
+            ("feasible-time-limit", []),
+            ("optimal", ["optimal with best_bound 10.0 != objective_value 9.0"]),
+        ):
+            doc["status"] = status
+            report.write_text(json.dumps(doc))
+            code, summary = run_cli(
+                capsys, "check", "--graph", src, "--report", str(report)
+            )
+            assert (code, summary["problems"]) == (int(bool(problems)), problems)
+
+    @pytest.mark.parametrize("bound", ["9", True, [9]])
+    def test_bound_that_is_not_a_number_is_usage_error(self, tmp_path, capsys, bound):
+        src, report = self._partition_report(tmp_path, capsys, complete_graph(3))
+        doc = json.loads(report.read_text())
+        doc["best_bound"] = bound
+        report.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--graph", src, "--report", str(report)])
+        assert exc.value.code == 2
+
 
 class TestExportLp:
     def test_file_written_and_stable(self, tmp_path, capsys):
@@ -388,6 +508,22 @@ class TestExperiment:
         assert code == 0
         assert summary["records"] == 1
 
+    def test_threads_flag_overrides_the_config(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"rows": [{"n_nodes": 20, "deg_exp": 4}], "threads": 1}))
+        seen = []
+
+        def run_experiment(config, out_dir):
+            seen.append(config.threads)
+            return []
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        code, summary = run_cli(
+            capsys,
+            "experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "o"),
+            "--threads", "3",
+        )
+        assert (code, summary["records"], seen) == (1, 0, [3])
 
     @pytest.mark.parametrize(
         "config",
@@ -530,6 +666,8 @@ class TestUsageErrors:
             ["partition", "--time-limit", "-1"],
             ["partition", "--time-limit", "nan"],
             ["partition", "--time-limit", "inf"],
+            ["partition", "--k", "2", "--costs", "0.5,0.5,1.0"],
+            ["partition", "--costs", "0.5,half,1.0"],
         ],
         ids=[
             "generate-zero-nodes", "generate-grid-1", "generate-negative-lambda",
@@ -540,6 +678,7 @@ class TestUsageErrors:
             "seed-search-negative-seed",
             "partition-zero-time-limit", "partition-negative-time-limit",
             "partition-nan-time-limit", "partition-infinite-time-limit",
+            "partition-k-and-costs", "partition-bad-costs",
         ],
     )
     def test_out_of_range_flag_is_usage_error(self, tmp_path, argv, capsys):

@@ -295,6 +295,13 @@ class TestExperiment:
         assert started == [workers]
         assert len(records) == 2 * 2 * 1 * 2
 
+    def test_one_thread_reads_no_cpu_count(self, monkeypatch):
+        def no_count():
+            raise AssertionError("cpu_count read for a one-thread batch")
+
+        monkeypatch.setattr(os, "cpu_count", no_count)
+        assert len(run_experiment(desk_config(graphs_per_row=1))) == 2 * 1 * 1 * 2
+
 
 def golden_records():
     """Fixed synthetic records covering every status and empty-cell case.

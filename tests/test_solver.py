@@ -359,6 +359,47 @@ def _prepared(size, deg, variant, seed):
     return prepare_graph(degree_seed(size, deg), variant, seed, 100)
 
 
+class TestSearchCut:
+    @pytest.mark.parametrize("node_limit", [300, 5000])
+    def test_node_limit_cut_counts_exactly_the_limit(self, node_limit):
+        # the warm start leaves this cell open, so the search runs into the
+        # limit; no ancestor of the cut node takes another child
+        m = build_optimal_soft(_prepared(40, 6, "SG1", 406), 4)
+        r = solve(m, SolveLimits(time_limit=60, node_limit=node_limit))
+        assert (r.status, r.explored_nodes) == ("feasible-time-limit", node_limit)
+
+    def test_no_relabel_after_the_clock_cut(self, monkeypatch):
+        # the clock jumps past the deadline after 1000 moves; once the
+        # search has read it, nodes are only unfixed on the way up
+        now, seen_late, late = [0.0], [False], []
+
+        class Clock:
+            @staticmethod
+            def perf_counter():
+                seen_late[0] = seen_late[0] or now[0] >= 1.0
+                return now[0]
+
+        class Watched(_Cover):
+            moves = 0
+
+            def move(self, u, p):
+                Watched.moves += 1
+                if Watched.moves == 1000:
+                    now[0] = 2.0
+                if seen_late[0] and p != self.unlabelled:
+                    late.append((u, p))
+                super().move(u, p)
+
+        monkeypatch.setattr(solver, "time", Clock)
+        m = build_optimal_soft(_prepared(40, 6, "SG1", 406), 4)
+        cover = Watched(*cover_args(m))
+        _, _, explored, cut = _search(cover, True, -1, math.inf, SolveLimits(), 1.0)
+        assert cut and seen_late[0]
+        assert late == []
+        assert explored % 256 == 0
+        assert cover.labels == [cover.unlabelled] * m.node_count
+
+
 _COSTS = (0.5, 0.5, 1.0)
 
 
@@ -388,6 +429,17 @@ class TestFeasibilityWarmStart:
         r = solve(m, SolveLimits(time_limit=30))
         assert r.status == "infeasible"
         assert r.assignment is None
+
+    def test_cut_before_any_satisfying_labelling_has_no_assignment(self):
+        # four disjoint 5-cycles: the root bound admits a domatic
+        # 3-partition that does not exist, and one explored node reaches no
+        # leaf, so the cut solve answers with the root bound alone
+        edges = [(5 * c + i, 5 * c + (i + 1) % 5) for c in range(4) for i in range(5)]
+        m = build_domatic_feasibility(graph_from_edges(20, edges), 3)
+        r = solve(m, SolveLimits(time_limit=30, node_limit=1))
+        assert (r.status, r.assignment, r.objective, r.best_bound, r.explored_nodes) == (
+            "feasible-time-limit", None, None, 20.0, 1
+        )
 
     @pytest.mark.parametrize(
         "build, explored",
@@ -498,8 +550,8 @@ _EXACTLY_ONE_GOLDEN = [
     (40, 4, 5, "maximal", "optimal", 26, 26, 0, "323bf4cab8d2c7c4"),
     (40, 6, 3, "optimal", "optimal", 120, 120, 0, "4d41159ad6df0e62"),
     (40, 6, 3, "maximal", "optimal", 40, 40, 0, "4d41159ad6df0e62"),
-    (40, 6, 4, "optimal", "feasible-time-limit", 157, 158, 20028, "f11bcb52058ca231"),
-    (40, 6, 4, "maximal", "feasible-time-limit", 37, 38, 20029, "1f58cb429abe4217"),
+    (40, 6, 4, "optimal", "feasible-time-limit", 157, 158, 20000, "f11bcb52058ca231"),
+    (40, 6, 4, "maximal", "feasible-time-limit", 37, 38, 20000, "1f58cb429abe4217"),
     (40, 6, 5, "optimal", "optimal", 192, 192, 0, "a71bcbbbea75c5fc"),
     (40, 6, 5, "maximal", "optimal", 34, 34, 0, "a7c2f33fde3495aa"),
     (60, 4, 3, "optimal", "optimal", 180, 180, 0, "ed924845e3ca03bd"),
@@ -516,8 +568,8 @@ _EXACTLY_ONE_GOLDEN = [
     (60, 6, 5, "maximal", "optimal", 56, 56, 0, "8b492bcb373bebdf"),
     (100, 4, 3, "optimal", "optimal", 300, 300, 0, "ffd3cea4803198ed"),
     (100, 4, 3, "maximal", "optimal", 100, 100, 0, "ffd3cea4803198ed"),
-    (100, 4, 4, "optimal", "feasible-time-limit", 386, 387, 20061, "409b7aa34fb15c18"),
-    (100, 4, 4, "maximal", "feasible-time-limit", 86, 87, 20061, "2ed1c5cf0d649837"),
+    (100, 4, 4, "optimal", "feasible-time-limit", 386, 387, 20000, "409b7aa34fb15c18"),
+    (100, 4, 4, "maximal", "feasible-time-limit", 86, 87, 20000, "2ed1c5cf0d649837"),
     (100, 4, 5, "optimal", "optimal", 447, 447, 0, "87c1cf4318b41d84"),
     (100, 4, 5, "maximal", "optimal", 60, 60, 0, "b741a79517dff266"),
     (100, 6, 3, "optimal", "optimal", 300, 300, 0, "3fa5244073bf6779"),
