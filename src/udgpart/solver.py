@@ -8,11 +8,11 @@ a time and prunes with a combinatorial per-node coverage cap that is exact on
 leaves, so its bound never undercuts a completion of the current partial
 assignment.  All six programs take one path, a feasibility program as
 maximal-soft that must reach |V|.  Every program whose root bound is above
-its floor starts from one warm start: a greedy portfolio labelling improved
-by local search on incrementally kept cover counts (the counts the search
-fixes nodes on).  When that labelling meets the root bound it is optimal
-(for a feasibility program: satisfying) without any branching; otherwise
-the search runs with the time that is left.
+its floor starts from one warm start: a tabu search from a round-robin
+portfolio labelling, on incrementally kept cover counts (the counts the
+search fixes nodes on).  When its best labelling meets the root bound it is
+optimal (for a feasibility program: satisfying) without any branching;
+otherwise the search runs with the time that is left.
 """
 
 import itertools
@@ -55,6 +55,12 @@ class SolveLimits:
     def __post_init__(self):
         if not (math.isfinite(self.time_limit) and self.time_limit > 0):
             raise ValueError(f"time_limit must be finite and > 0, got {self.time_limit}")
+        if self.node_limit is not None and (
+            isinstance(self.node_limit, bool)
+            or not isinstance(self.node_limit, int)
+            or self.node_limit < 1
+        ):
+            raise ValueError(f"node_limit must be None or an int >= 1, got {self.node_limit!r}")
 
 
 @dataclass(frozen=True)
@@ -143,21 +149,6 @@ def brute_force(model: IlpModel, cap: int = 10_000_000) -> SolveReport:
         wall,
         explored,
     )
-
-
-def _greedy(cover):
-    """Label every node, highest degree first, locally rarest means first.
-
-    Each node takes the portfolio whose means its labelled closed
-    neighbourhood holds least often (sum of counts, then portfolio index).
-    """
-    nbrs, means, cc = cover.nbrs, cover.means, cover.cc
-    portfolios = range(cover.unlabelled)
-    for v in sorted(range(len(nbrs)), key=lambda v: (-len(nbrs[v]), v)):
-        row = cc[v]
-        cover.move(
-            v, min(portfolios, key=lambda p: (sum(row[i] for i in means[p]), p))
-        )
 
 
 def _branch_order(nbrs):
@@ -437,45 +428,20 @@ class _Cover:
 
 
 def _warm_start(cover, deadline):
-    """Greedy labelling, delta polish, then tabu search up to the root bound.
+    """Round-robin labelling, then tabu search up to the root bound.
 
-    Labels every node of the unlabelled ``cover``.  Returns the best
-    portfolio indices, their objective and whether the clock cut the work
-    short.  Everything but the cut is decided by the model alone: the tabu
-    phase draws from an RNG seeded by the model's size and stops after a
-    fixed number of moves that do not improve on the best labelling.
+    Labels node v of the unlabelled ``cover`` with portfolio v mod the
+    domain size.  Returns the best portfolio indices, their objective and
+    whether the clock cut the search short.  Everything but the cut is
+    decided by the model alone: the tabu search draws from an RNG seeded by
+    the model's size and stops after a fixed number of moves that do not
+    improve on the best labelling.
     """
-    _greedy(cover)
-    if not _polish(cover, deadline):
-        return cover.labels, cover.value(), True
     nc = len(cover.labels)
+    for v in range(nc):
+        cover.move(v, v % cover.unlabelled)
     rng = random.Random(nc * 7919 + cover.n)
     return _tabu(cover, deadline, rng, 100 * nc)
-
-
-_POLISH_ROUNDS = 20
-
-
-def _polish(cover, deadline):
-    """Single-node relabellings until no move improves the objective.
-
-    Moves are tried node by node, portfolio by portfolio in domain order,
-    and the first improving one is kept, for at most ``_POLISH_ROUNDS``
-    passes.  Returns False when the deadline passed first.
-    """
-    portfolios = range(cover.unlabelled)
-    for _ in range(_POLISH_ROUNDS):
-        improved = False
-        for v in range(len(cover.labels)):
-            if time.perf_counter() >= deadline:
-                return False
-            for p in portfolios:
-                if cover.delta(v, p) > 0:
-                    cover.move(v, p)
-                    improved = True
-        if not improved:
-            break
-    return True
 
 
 def _tabu(cover, deadline, rng, patience):

@@ -25,8 +25,6 @@ from udgpart.solver import (
     OracleCapError,
     SolveLimits,
     _Cover,
-    _greedy,
-    _polish,
     _search,
     _tabu,
     brute_force,
@@ -158,43 +156,6 @@ class TestBruteForce:
         assert a.assignment == b.assignment
 
 
-def greedy_assignment(m):
-    """The labelling ``_greedy`` gives a fresh cover of ``m``."""
-    cover = _Cover(*cover_args(m))
-    _greedy(cover)
-    domain = domain_of(m)
-    return PartitionAssignment(tuple(domain[p] for p in cover.labels), m.n)
-
-
-class TestGreedyIncumbent:
-    def test_k3_gets_all_three_means(self):
-        a = greedy_assignment(build_optimal_soft(complete_graph(3), 3))
-        assert sorted(a.labels()) == [1, 2, 3]
-
-    def test_single_mean_trivially_valid(self):
-        a = greedy_assignment(build_optimal_soft(cycle_graph(5), 1))
-        assert a.labels() == (1,) * 5
-
-    def test_always_one_mean_per_node(self):
-        rng = random.Random(9)
-        for _ in range(20):
-            n = rng.randint(1, 12)
-            edges = {
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if rng.random() < 0.4
-            }
-            a = greedy_assignment(build_optimal_soft(graph_from_edges(n, edges), 4))
-            assert len(a.labels()) == n
-
-    def test_cycle_objective_never_beats_oracle(self):
-        g = cycle_graph(6)
-        m = build_optimal_soft(g, 3)
-        greedy_val = m.objective_value(m.assignment_to_values(greedy_assignment(m)))
-        assert greedy_val <= brute_force(m).objective
-
-
 def _random_lambda_udg(trial, lo=5, hi=10):
     rng = random.Random(trial)
     nv = rng.randint(lo, hi)
@@ -246,10 +207,23 @@ class TestSolve:
         assert r.assignment is not None
         assert r.objective <= r.best_bound
 
+    @pytest.mark.parametrize("node_limit", [0, -3, 2.5, True, False, "5"])
+    def test_bad_node_limit_is_rejected(self, node_limit):
+        # a node-limit cut reports exactly node_limit explored nodes, which
+        # only an integer of at least 1 can be
+        with pytest.raises(ValueError, match="node_limit"):
+            SolveLimits(node_limit=node_limit)
+
     def test_deadline_inside_warm_start_returns_incumbent(self):
+        # the tabu search reads the clock before its first move, so the
+        # round-robin labelling is returned; none of these is at its root bound
         g = _random_lambda_udg(12, lo=30, hi=40)
-        for build in (build_optimal_soft, build_maximal_soft):
-            m = build(g, 4)
+        for m in (
+            build_optimal_soft(g, 4),
+            build_maximal_soft(g, 4),
+            build_soft_variant(g, 4, "optimal", k=2),
+            build_soft_variant(g, 5, "maximal", costs=(0.5, 0.5, 0.5, 0.5, 1.0)),
+        ):
             r = solve(m, SolveLimits(time_limit=1e-9))
             assert r.status == "feasible-time-limit"
             assert r.explored_nodes == 0
@@ -537,47 +511,48 @@ def test_feasibility_statuses_match_highs(size, deg, rep):
         assert (r.status == "optimal") == _highs_satisfiable(m)
 
 
-# Recorded before the feasibility programs shared the warm start: the 36
-# exactly-one soft cells of one benchmark graph set, (|V|, degree, n,
+# The 36 exactly-one soft cells of one benchmark graph set, (|V|, degree, n,
 # objective) -> status, objective, best bound, explored nodes and the first
-# 16 hex digits of the SHA-256 of the assignment's JSON.
+# 16 hex digits of the SHA-256 of the assignment's JSON.  Statuses,
+# objectives and bounds date from before the feasibility programs shared the
+# warm start; digests and explored counts from the round-robin start.
 _EXACTLY_ONE_GOLDEN = [
-    (40, 4, 3, "optimal", "optimal", 119, 119, 0, "21c1572e19ed72ba"),
-    (40, 4, 3, "maximal", "optimal", 39, 39, 0, "21c1572e19ed72ba"),
-    (40, 4, 4, "optimal", "optimal", 151, 151, 0, "1efd0cb24bcf3014"),
-    (40, 4, 4, "maximal", "optimal", 32, 32, 0, "78793de1caacb93a"),
-    (40, 4, 5, "optimal", "optimal", 177, 177, 0, "924f5832b57d7b8b"),
-    (40, 4, 5, "maximal", "optimal", 26, 26, 0, "323bf4cab8d2c7c4"),
-    (40, 6, 3, "optimal", "optimal", 120, 120, 0, "4d41159ad6df0e62"),
-    (40, 6, 3, "maximal", "optimal", 40, 40, 0, "4d41159ad6df0e62"),
-    (40, 6, 4, "optimal", "feasible-time-limit", 157, 158, 20000, "f11bcb52058ca231"),
-    (40, 6, 4, "maximal", "feasible-time-limit", 37, 38, 20000, "1f58cb429abe4217"),
-    (40, 6, 5, "optimal", "optimal", 192, 192, 0, "a71bcbbbea75c5fc"),
-    (40, 6, 5, "maximal", "optimal", 34, 34, 0, "a7c2f33fde3495aa"),
-    (60, 4, 3, "optimal", "optimal", 180, 180, 0, "ed924845e3ca03bd"),
-    (60, 4, 3, "maximal", "optimal", 60, 60, 0, "ed924845e3ca03bd"),
-    (60, 4, 4, "optimal", "optimal", 233, 233, 0, "e77b20787853e72a"),
-    (60, 4, 4, "maximal", "optimal", 53, 53, 0, "0f8642b1bcd576b2"),
-    (60, 4, 5, "optimal", "optimal", 271, 271, 0, "81e64afcb2c244cf"),
-    (60, 4, 5, "maximal", "optimal", 38, 38, 0, "59c4b891de01bb93"),
-    (60, 6, 3, "optimal", "optimal", 180, 180, 0, "f5b69ca788136783"),
-    (60, 6, 3, "maximal", "optimal", 60, 60, 0, "f5b69ca788136783"),
-    (60, 6, 4, "optimal", "optimal", 239, 239, 0, "d9be06e06321949b"),
-    (60, 6, 4, "maximal", "optimal", 59, 59, 0, "d9be06e06321949b"),
-    (60, 6, 5, "optimal", "optimal", 295, 295, 0, "47ab1e9e2b85b21c"),
-    (60, 6, 5, "maximal", "optimal", 56, 56, 0, "8b492bcb373bebdf"),
-    (100, 4, 3, "optimal", "optimal", 300, 300, 0, "ffd3cea4803198ed"),
-    (100, 4, 3, "maximal", "optimal", 100, 100, 0, "ffd3cea4803198ed"),
-    (100, 4, 4, "optimal", "feasible-time-limit", 386, 387, 20000, "409b7aa34fb15c18"),
-    (100, 4, 4, "maximal", "feasible-time-limit", 86, 87, 20000, "2ed1c5cf0d649837"),
-    (100, 4, 5, "optimal", "optimal", 447, 447, 0, "87c1cf4318b41d84"),
-    (100, 4, 5, "maximal", "optimal", 60, 60, 0, "b741a79517dff266"),
-    (100, 6, 3, "optimal", "optimal", 300, 300, 0, "3fa5244073bf6779"),
-    (100, 6, 3, "maximal", "optimal", 100, 100, 0, "3fa5244073bf6779"),
-    (100, 6, 4, "optimal", "optimal", 400, 400, 0, "7513ffc7b987842c"),
-    (100, 6, 4, "maximal", "optimal", 100, 100, 0, "7513ffc7b987842c"),
-    (100, 6, 5, "optimal", "optimal", 494, 494, 0, "d3c9004fdf675a92"),
-    (100, 6, 5, "maximal", "optimal", 94, 94, 0, "1114758d0e157fc3"),
+    (40, 4, 3, "optimal", "optimal", 119, 119, 0, "05d0409e8ed053ff"),
+    (40, 4, 3, "maximal", "optimal", 39, 39, 0, "8ec35a6077e77c4f"),
+    (40, 4, 4, "optimal", "optimal", 151, 151, 0, "26388b80e08b7ba1"),
+    (40, 4, 4, "maximal", "optimal", 32, 32, 0, "20d5ebfa92cbbd95"),
+    (40, 4, 5, "optimal", "optimal", 177, 177, 0, "7b30fedc301a7ebb"),
+    (40, 4, 5, "maximal", "optimal", 26, 26, 0, "dc5db77df0607297"),
+    (40, 6, 3, "optimal", "optimal", 120, 120, 0, "eaa453d209d1854b"),
+    (40, 6, 3, "maximal", "optimal", 40, 40, 0, "eaa453d209d1854b"),
+    (40, 6, 4, "optimal", "feasible-time-limit", 157, 158, 20000, "1e781b612a86930f"),
+    (40, 6, 4, "maximal", "feasible-time-limit", 37, 38, 20000, "5954332a75fd5a44"),
+    (40, 6, 5, "optimal", "optimal", 192, 192, 0, "b87d4088c053c5d9"),
+    (40, 6, 5, "maximal", "optimal", 34, 34, 0, "d8d23037918b9fba"),
+    (60, 4, 3, "optimal", "optimal", 180, 180, 0, "f25843495387c09a"),
+    (60, 4, 3, "maximal", "optimal", 60, 60, 0, "304f933267adefec"),
+    (60, 4, 4, "optimal", "optimal", 233, 233, 0, "aca93a58932459a7"),
+    (60, 4, 4, "maximal", "optimal", 53, 53, 0, "6292cee22d321a25"),
+    (60, 4, 5, "optimal", "optimal", 271, 271, 4316, "eb59fa1653e7a1bb"),
+    (60, 4, 5, "maximal", "optimal", 38, 38, 0, "88558d4b131e5f22"),
+    (60, 6, 3, "optimal", "optimal", 180, 180, 0, "29c3e07db3e97c9f"),
+    (60, 6, 3, "maximal", "optimal", 60, 60, 0, "2da108304a750ca5"),
+    (60, 6, 4, "optimal", "optimal", 239, 239, 0, "f709dcde718fb908"),
+    (60, 6, 4, "maximal", "optimal", 59, 59, 0, "cf386fe100f0e1fc"),
+    (60, 6, 5, "optimal", "optimal", 295, 295, 0, "f491a1909c7bae9b"),
+    (60, 6, 5, "maximal", "optimal", 56, 56, 0, "0aa0962a5b7aa04f"),
+    (100, 4, 3, "optimal", "optimal", 300, 300, 0, "414922ac994d6159"),
+    (100, 4, 3, "maximal", "optimal", 100, 100, 0, "c09b02688674b02e"),
+    (100, 4, 4, "optimal", "feasible-time-limit", 386, 387, 20000, "309dcc9b9e4d30ef"),
+    (100, 4, 4, "maximal", "feasible-time-limit", 86, 87, 20000, "bba2b68fdf443724"),
+    (100, 4, 5, "optimal", "optimal", 447, 447, 0, "659e65f43931f261"),
+    (100, 4, 5, "maximal", "optimal", 60, 60, 0, "535462a99fbc5a83"),
+    (100, 6, 3, "optimal", "optimal", 300, 300, 0, "c50687cdfb052876"),
+    (100, 6, 3, "maximal", "optimal", 100, 100, 0, "c50687cdfb052876"),
+    (100, 6, 4, "optimal", "optimal", 400, 400, 0, "dd16eb02d0190867"),
+    (100, 6, 4, "maximal", "optimal", 100, 100, 0, "7526bfa37a23436f"),
+    (100, 6, 5, "optimal", "optimal", 494, 494, 0, "1297ef742b0a7e75"),
+    (100, 6, 5, "maximal", "optimal", 94, 94, 0, "ae2c060f6a60a7ee"),
 ]
 
 
@@ -702,8 +677,8 @@ def _cover_programs(g):
 
 
 class TestCoverDeltas:
-    def test_polish_and_tabu_moves_match_recount(self):
-        polish_moves = tabu_moves = wide_moves = 0
+    def test_tabu_moves_match_recount(self):
+        tabu_moves = wide_moves = 0
         for trial in range(6):
             g = _random_lambda_udg(trial + 200, lo=12, hi=30)
             for m in _cover_programs(g):
@@ -711,9 +686,6 @@ class TestCoverDeltas:
                 target = sum(caps)
                 cover = labelled(_CheckedCover(m), [0] * g.node_count)
                 assert cover.value() == _recount(m, domain, cover.labels)
-                assert _polish(cover, float("inf"))
-                polish_moves += cover.moves
-                cover.moves = 0
                 labels, best, cut = _tabu(
                     cover, float("inf"), random.Random(trial), 20 * g.node_count
                 )
@@ -721,8 +693,8 @@ class TestCoverDeltas:
                 assert best == _recount(m, domain, labels) <= target
                 tabu_moves += cover.moves
                 wide_moves += cover.wide_moves
-        # both phases were exercised, and so were moves that are not swaps
-        assert polish_moves and tabu_moves and wide_moves
+        # the tabu search moved, and some of its moves were not swaps
+        assert tabu_moves and wide_moves
 
     def test_every_delta_matches_recount(self):
         rng = random.Random(5)
