@@ -36,6 +36,7 @@ from .ilp import (
     KIND_FEASIBILITY,
     KIND_MAXIMAL_SOFT,
     KIND_OPTIMAL_SOFT,
+    KINDS,
     PartitionAssignment,
     _validate_costs,
     _validate_k,
@@ -315,7 +316,7 @@ def _check_json_types(doc, integers, numbers):
         if key in doc and not _is_int(doc[key]):
             raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
     for key in numbers:
-        if key in doc and not (_is_int(doc[key]) or isinstance(doc[key], float)):
+        if key in doc and not _is_number(doc[key]):
             raise ValueError(f"{key} must be a number, got {doc[key]!r}")
 
 
@@ -383,15 +384,18 @@ def _cmd_experiment(args, parser):
 def _report_capacity(doc, n, parser, path):
     """Whether a mean set is admissible under the report's capacity.
 
-    The capacity defaults to exactly-one; a malformed one exits 2.
+    The capacity defaults to exactly-one; a malformed one, or costs that
+    are not a list of JSON numbers, exits 2.
     """
     cap = doc.get("capacity", {"mode": CAP_EXACTLY_ONE})
     if not isinstance(cap, dict):
         parser.error(f"report {path}: capacity must be an object, got {cap!r}")
-    mode = cap.get("mode", CAP_EXACTLY_ONE)
+    mode, costs = cap.get("mode", CAP_EXACTLY_ONE), cap.get("costs")
     try:
+        if mode == CAP_COST and not (isinstance(costs, list) and all(map(_is_number, costs))):
+            raise ValueError(f"costs must be a list of numbers, got {costs!r}")
         k = _validate_k(cap.get("k"), n) if mode == CAP_FIXED_K else None
-        costs = _validate_costs(cap.get("costs"), n) if mode == CAP_COST else None
+        costs = _validate_costs(costs, n) if mode == CAP_COST else None
         admissible((), n, mode, k, costs)  # raises on an unknown mode
     except ValueError as exc:
         parser.error(f"report {path}: {exc}")
@@ -402,12 +406,15 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value):
+    """A JSON number: an int or a float, never a bool or a string."""
+    return _is_int(value) or isinstance(value, float)
+
+
 def _report_number(doc, key, parser, path):
     """The report's number under ``key``, or None; any other value exits 2."""
     value = doc.get(key)
-    if value is not None and (
-        isinstance(value, bool) or not isinstance(value, (int, float))
-    ):
+    if value is not None and not _is_number(value):
         parser.error(f"report {path}: {key} must be a number, got {value!r}")
     return value
 
@@ -450,6 +457,9 @@ def _cmd_check(args, parser):
     n = doc.get("n") if isinstance(doc, dict) else None
     if not _is_int(n) or n < 1:
         parser.error(f"report {args.report} carries no positive integer \"n\"")
+    kind = doc.get("kind")
+    if kind not in KINDS:
+        parser.error(f"report {args.report}: kind must be one of {KINDS}, got {kind!r}")
     admits = _report_capacity(doc, n, parser, args.report)
     claimed = doc.get("errors") or {}
     if not isinstance(claimed, dict):
@@ -484,7 +494,6 @@ def _cmd_check(args, parser):
             )
         # solve checks this identity for every assignment it returns,
         # whatever the status
-        kind = doc.get("kind")
         if kind == KIND_FEASIBILITY and errors.miss_cov:
             problems.append("feasibility assignment leaves coverage missing")
         elif kind == KIND_OPTIMAL_SOFT and obj is not None:

@@ -18,6 +18,7 @@ from .graphs import GeometricGraph
 KIND_FEASIBILITY = "feasibility"
 KIND_OPTIMAL_SOFT = "optimal-soft"
 KIND_MAXIMAL_SOFT = "maximal-soft"
+KINDS = (KIND_FEASIBILITY, KIND_OPTIMAL_SOFT, KIND_MAXIMAL_SOFT)
 
 CAP_EXACTLY_ONE = "exactly-one"
 CAP_FIXED_K = "fixed-k"
@@ -81,7 +82,7 @@ class IlpModel:
     objective: tuple[tuple[int, float], ...] | None = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in (KIND_FEASIBILITY, KIND_OPTIMAL_SOFT, KIND_MAXIMAL_SOFT):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown program kind {self.kind!r}")
         if self.capacity not in (CAP_EXACTLY_ONE, CAP_FIXED_K, CAP_COST):
             raise ValueError(f"unknown capacity mode {self.capacity!r}")
@@ -157,33 +158,18 @@ class IlpModel:
     def z_index(self, v: int) -> int:
         return 2 * self.node_count * self.n + v
 
-    @property
-    def has_y(self) -> bool:
-        return self.kind in (KIND_OPTIMAL_SOFT, KIND_MAXIMAL_SOFT)
-
-    @property
-    def has_z(self) -> bool:
-        return self.kind == KIND_MAXIMAL_SOFT
-
     def assignment_to_values(self, assignment: PartitionAssignment) -> dict[int, int]:
         """Binary values for all variables, auxiliaries at their maximal setting."""
-        values = {}
-        for v, means in enumerate(assignment.assign):
-            for i in range(1, self.n + 1):
-                values[self.x_index(v, i)] = 1 if i in means else 0
-        if self.has_y:
-            for v in range(self.node_count):
-                for i in range(1, self.n + 1):
-                    covered = any(
-                        i in assignment.assign[w]
-                        for w in self.closed_neighbourhoods[v]
-                    )
-                    values[self.y_index(v, i)] = 1 if covered else 0
-        if self.has_z:
-            for v in range(self.node_count):
-                values[self.z_index(v)] = min(
-                    values[self.y_index(v, i)] for i in range(1, self.n + 1)
-                )
+        means, held = range(1, self.n + 1), assignment.assign
+        values = {
+            self.x_index(v, i): int(i in ms) for v, ms in enumerate(held) for i in means
+        }
+        if self.kind != KIND_FEASIBILITY:
+            for v, nv in enumerate(self.closed_neighbourhoods):
+                seen = set().union(*(held[w] for w in nv))
+                values.update((self.y_index(v, i), int(i in seen)) for i in means)
+                if self.kind == KIND_MAXIMAL_SOFT:
+                    values[self.z_index(v)] = int(seen.issuperset(means))
         return values
 
     def violated_constraints(self, values: dict[int, int]) -> list[str]:
@@ -228,8 +214,10 @@ def _validate_neighbourhoods(nbrs):
 def _validate_costs(costs, n):
     try:
         costs = tuple(float(c) for c in costs)
-    except (TypeError, ValueError):
-        raise ValueError(f"costs must be a list of numbers, got {costs!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"costs must be a list of numbers that fit a float, got {costs!r}"
+        ) from None
     if len(costs) != n:
         raise ValueError(f"need {n} cost components, got {len(costs)}")
     if not all(0.0 < c <= 1.0 for c in costs):

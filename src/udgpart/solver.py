@@ -103,7 +103,6 @@ def brute_force(model: IlpModel, cap: int = 10_000_000) -> SolveReport:
 
     best_val = None
     best_row = None
-    feasible_found = False
     chunk_size = 1 << 14
     combos = itertools.product(range(len(domain)), repeat=nc)
     explored = 0
@@ -122,7 +121,6 @@ def brute_force(model: IlpModel, cap: int = 10_000_000) -> SolveReport:
             if hits.size:
                 best_row = labels[hits[0]]
                 best_val = 0.0
-                feasible_found = True
                 explored += int(hits[0]) + 1
                 break
             explored += len(rows)
@@ -138,7 +136,8 @@ def brute_force(model: IlpModel, cap: int = 10_000_000) -> SolveReport:
                 best_row = labels[top]
             explored += len(rows)
     wall = time.perf_counter() - start
-    if model.kind == KIND_FEASIBILITY and not feasible_found:
+    # a feasibility program keeps no row unless one satisfies it
+    if best_row is None:
         return SolveReport(STATUS_INFEASIBLE, None, None, None, wall, explored)
     assignment = _assignment_from_rows(domain, best_row, n)
     return SolveReport(
@@ -259,11 +258,10 @@ def solve(model: IlpModel, limits: SolveLimits = SolveLimits()) -> SolveReport:
     # search's first node refutes the program
     if root_bound > floor:
         labels, warm, cut = _warm_start(cover, deadline)
-        # a warm start at the root bound is optimal; one cut by the clock
-        # otherwise ends the solve, so the clock never decides what a
-        # proven result looks like
+        # a warm start at the root bound is optimal; the clock cuts one only
+        # below it, and a cut ends the solve, so the clock never decides
+        # what a proven result looks like
         proven = warm == root_bound
-        cut = cut and not proven
         if warm > floor:
             row, floor = labels, warm
     if not (proven or cut):
@@ -295,10 +293,6 @@ def solve(model: IlpModel, limits: SolveLimits = SolveLimits()) -> SolveReport:
     else:
         status, bound = STATUS_OPTIMAL, objective
     return SolveReport(status, assignment, objective, bound, wall, explored)
-
-
-def _diff(a, b):
-    return tuple(i for i in a if i not in b), tuple(i for i in b if i not in a)
 
 
 class _Rows(dict):
@@ -336,16 +330,15 @@ class _Cover:
         # each portfolio's means as sorted 0-based indices
         self.means = means = [tuple(i - 1 for i in sorted(p)) for p in domain] + [()]
         self.unlabelled = len(domain)
-        # (lost means, gained means) of relabelling portfolio a with b, and
-        # the lost and the gained mean if that is a one-for-one swap (every
-        # exactly-one relabelling), (-1, -1) otherwise; row a is filled when
-        # a node labelled a first moves, so a solve pays only for labels in use
-        self.diff = diff = _Rows(lambda a: [_diff(means[a], b) for b in means])
-        self.swap = _Rows(
-            lambda a: [
-                (lost[0], gained[0]) if len(lost) == len(gained) == 1 else (-1, -1)
-                for lost, gained in diff[a]
-            ]
+        # diff[a][b] relabels portfolio a with b: the lost means, the gained
+        # means, and the lost and the gained mean if it is a one-for-one swap
+        # (every exactly-one relabelling), else -1, -1.  holding[missing]
+        # lists the portfolios holding one of the missing means, the tabu
+        # search's candidates.  A row is filled on its first use, so a solve
+        # pays only for the labels and the sets of missing means it meets
+        self.diff = _Rows(self._relabellings)
+        self.holding = _Rows(
+            lambda missing: [p for p, ms in enumerate(means) if not set(ms).isdisjoint(missing)]
         )
         self.smax = max(map(len, means))
         # the means some portfolio holds: a node can see no other
@@ -357,6 +350,15 @@ class _Cover:
         self.caps = [self.cap(v) for v in range(len(self.nbrs))]
         self.bound = sum(self.caps)
         self.root_cap = list(self.caps)
+
+    def _relabellings(self, a):
+        row, held = [], self.means[a]
+        for b in self.means:
+            lost = tuple(i for i in held if i not in b)
+            gained = tuple(i for i in b if i not in held)
+            swap = (lost[0], gained[0]) if len(lost) == len(gained) == 1 else (-1, -1)
+            row.append((lost, gained, *swap))
+        return row
 
     def value(self):
         return self.distinct.count(self.n) if self.maximal else sum(self.distinct)
@@ -378,11 +380,10 @@ class _Cover:
         a = self.labels[u]
         if a == p:
             return 0
-        x, y = self.swap[a][p]
+        lost, gained, x, y = self.diff[a][p]
         n, cc, distinct, maximal = self.n, self.cc, self.distinct, self.maximal
         d = 0
         if x < 0:
-            lost, gained = self.diff[a][p]
             for w in self.nbrs[u]:
                 row = cc[w]
                 change = sum(row[j] == 0 for j in gained) - sum(row[i] == 1 for i in lost)
@@ -403,7 +404,7 @@ class _Cover:
     def move(self, u, p):
         """Relabel node u with portfolio ``p``; ``unlabelled`` unfixes it."""
         a = self.labels[u]
-        lost, gained = self.diff[a][p]
+        lost, gained, _, _ = self.diff[a][p]
         fixed = (a == self.unlabelled) - (p == self.unlabelled)
         cc, distinct, unfixed, caps, cap = (
             self.cc, self.distinct, self.unfixed, self.caps, self.cap
@@ -454,13 +455,12 @@ def _tabu(cover, deadline, rng, patience):
     moving it again beats the best labelling seen.  Stops at the sum of the
     root caps (the root bound), after ``patience`` steps without a new best,
     or at the deadline.  Returns the best labels, their objective and
-    whether the deadline was the reason to stop.
+    whether the deadline, which only a search below the root bound meets,
+    was the reason to stop.
     """
-    n, nbrs, cc = cover.n, cover.nbrs, cover.cc
+    n, nbrs, cc, holding = cover.n, cover.nbrs, cover.cc, cover.holding
     # a node is deficient while it contributes less than its root cap
     caps, root_cap, delta = cover.caps, cover.root_cap, cover.delta
-    # candidate portfolios per set of missing means, filled as met
-    holding = {}
     nc = len(cover.labels)
     target = sum(root_cap)
     deficient = [v for v in range(nc) if caps[v] < root_cap[v]]
@@ -478,12 +478,7 @@ def _tabu(cover, deadline, rng, patience):
         stall += 1
         v = deficient[rng.randrange(len(deficient))]
         row = cc[v]
-        missing = tuple([i for i in range(n) if row[i] == 0])
-        candidates = holding.get(missing)
-        if candidates is None:
-            candidates = holding[missing] = [
-                p for p, ms in enumerate(cover.means) if not set(ms).isdisjoint(missing)
-            ]
+        candidates = holding[tuple([i for i in range(n) if row[i] == 0])]
         moves, top = [], None
         for w in nbrs[v]:
             tabu = tabu_until[w] >= step

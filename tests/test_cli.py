@@ -246,6 +246,21 @@ class TestCheck:
             main(["check", "--graph", src, "--report", str(report)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("kind", [None, "bogus", "Optimal-Soft", ["optimal-soft"]])
+    def test_report_naming_no_program_is_usage_error(self, tmp_path, capsys, kind):
+        # an objective above |V|·n = 9 that only the program's rule catches
+        src, report = self._partition_report(tmp_path, capsys, complete_graph(3))
+        doc = json.loads(report.read_text())
+        doc["objective_value"] = doc["best_bound"] = 10.0
+        if kind is None:
+            del doc["kind"]
+        else:
+            doc["kind"] = kind
+        report.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--graph", src, "--report", str(report)])
+        assert exc.value.code == 2
+
     def test_tampered_assignment_detected(self, tmp_path, capsys):
         src, report = self._partition_report(tmp_path, capsys, complete_graph(3))
         doc = json.loads(report.read_text())
@@ -262,8 +277,15 @@ class TestCheck:
             None,
             {"mode": "all-of-them"},
             {"mode": "fixed-k", "k": "1"},
+            {"mode": "cost", "costs": [10**400, 0.5, 0.5]},
+            {"mode": "cost", "costs": ["0.5", "0.5", "1"]},
+            {"mode": "cost", "costs": [0.5, 0.5, True]},
+            {"mode": "cost", "costs": "111"},
         ],
-        ids=["cost-without-costs", "too-few-costs", "null", "unknown-mode", "string-k"],
+        ids=[
+            "cost-without-costs", "too-few-costs", "null", "unknown-mode", "string-k",
+            "cost-past-float", "string-costs", "bool-cost", "costs-as-a-string",
+        ],
     )
     def test_malformed_capacity_is_usage_error(self, tmp_path, capsys, capacity):
         src, report = self._partition_report(tmp_path, capsys, complete_graph(3))
@@ -291,6 +313,7 @@ class TestCheck:
         report = tmp_path / "r.json"
         report.write_text(json.dumps({
             "n": 40,
+            "kind": "maximal-soft",
             "capacity": {"mode": "cost", "costs": costs},
             "assignment": {"0": [1, 2], "1": [3], "2": [4, 5]},
             "errors": {"miss_cov": 3 * 35, "inc_nodes": 3},

@@ -37,9 +37,12 @@ node_means = st.lists(st.integers(-1, 6), max_size=4) | json_values
 assignments = json_values | st.dictionaries(
     st.sampled_from([str(v) for v in range(NODES + 1)]), node_means, max_size=NODES + 1
 )
+# cost entries in and around (0, 1], integers on both sides of the largest
+# float, and numeric strings
+cost_entries = st.floats(0, 1.5) | st.integers(2**1023, 10**400) | st.floats(0, 1.5).map(str)
 capacities = json_values | st.fixed_dictionaries(
     {"mode": st.sampled_from(["exactly-one", "fixed-k", "cost", "other"]) | json_values},
-    optional={"k": json_values, "costs": st.lists(st.floats(0, 1.5), max_size=6) | json_values},
+    optional={"k": json_values, "costs": st.lists(cost_entries, max_size=6) | json_values},
 )
 errors = json_values | st.fixed_dictionaries(
     {}, optional={"miss_cov": json_values, "inc_nodes": json_values}
@@ -47,6 +50,8 @@ errors = json_values | st.fixed_dictionaries(
 # field -> what may replace it; absent from the draw means left as written
 MUTATIONS = {
     "n": st.integers(-3, 12) | json_values,
+    "kind": st.sampled_from(["feasibility", "optimal-soft", "maximal-soft", "bogus"])
+    | json_values,
     "capacity": capacities,
     "assignment": assignments,
     "errors": errors,

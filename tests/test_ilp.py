@@ -332,6 +332,7 @@ class TestDeclaration:
             lambda nbrs: IlpModel(KIND_FEASIBILITY, CAP_FIXED_K, 2, nbrs),
             lambda nbrs: IlpModel(KIND_MAXIMAL_SOFT, CAP_FIXED_K, 2, nbrs, k=3),
             lambda nbrs: IlpModel(KIND_FEASIBILITY, CAP_COST, 2, nbrs),
+            lambda nbrs: IlpModel(KIND_FEASIBILITY, CAP_COST, 2, nbrs, costs=(10**400, 1)),
             lambda nbrs: dataclasses.replace(
                 IlpModel(KIND_FEASIBILITY, CAP_COST, 3, nbrs, costs=(0.5, 0.5, 1.0)), n=4
             ),
@@ -350,7 +351,7 @@ class TestDeclaration:
         ],
         ids=[
             "unknown-kind", "unknown-capacity", "fixed-k-without-k", "k-above-n",
-            "cost-without-costs", "replace-n-past-costs", "n-zero", "no-nodes",
+            "cost-without-costs", "cost-past-float", "replace-n-past-costs", "n-zero", "no-nodes",
             "float-index", "bool-index", "index-past-last-node", "negative-index",
             "repeated-index", "node-outside-own-neighbourhood",
             "replace-index-past-last-node",

@@ -296,8 +296,8 @@ class TestSolve:
             assert r.explored_nodes == 0
 
     def test_relabel_tables_fill_only_rows_in_use(self, monkeypatch):
-        # 924 portfolios of 6 of 12 means: full tables would hold 925**2
-        # pairs each; one node only ever leaves the unlabelled row and the
+        # 924 portfolios of 6 of 12 means: a full relabel table would hold
+        # 925**2 pairs; one node only ever leaves the unlabelled row and the
         # row of its one label
         covers = []
 
@@ -312,7 +312,7 @@ class TestSolve:
         assert (r.status, r.objective) == ("optimal", 0.0)
         [cover] = covers
         assert cover.unlabelled == 924
-        assert len(cover.diff) <= 2 and len(cover.swap) <= 2
+        assert len(cover.diff) <= 2
 
     @pytest.mark.parametrize("build", [build_optimal_soft, build_maximal_soft])
     def test_misreported_objective_is_an_error(self, build, monkeypatch):
@@ -636,7 +636,7 @@ class _CheckedCover(_Cover):
         self.moves = self.wide_moves = 0
 
     def move(self, u, p):
-        swap = self.swap[self.labels[u]][p][0] >= 0
+        swap = self.diff[self.labels[u]][p][2] >= 0
         super().move(u, p)
         self.moves += 1
         self.wide_moves += not swap
