@@ -32,25 +32,18 @@ from .graphs import GeometricGraph
 from .ilp import (
     CAP_COST,
     CAP_EXACTLY_ONE,
-    CAP_FIXED_K,
-    KIND_FEASIBILITY,
-    KIND_MAXIMAL_SOFT,
-    KIND_OPTIMAL_SOFT,
-    KINDS,
     PartitionAssignment,
-    _validate_costs,
-    _validate_k,
-    admissible,
     build_cost_based,
     build_domatic_feasibility,
     build_fixed_k,
     build_maximal_soft,
+    build_model,
     build_optimal_soft,
     build_soft_variant,
     export_lp,
 )
 from .metrics import ExperimentConfig, coverage_errors, run_experiment
-from .seeds import SeedTableRow, degree_seed, rows_to_csv
+from .seeds import CSV_FIELDS, SeedTableRow, degree_seed, rows_to_csv
 from .solver import ANSWERED, STATUS_OPTIMAL, SolveLimits, solve
 
 EXIT_OK = 0
@@ -60,6 +53,22 @@ EXIT_USAGE = 2
 
 def _emit(payload):
     print(json.dumps(payload, separators=(", ", ": ")))
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _load_json(path, what, parser):
+    """The JSON object in ``path``; unreadable text, NaN or ±Infinity exits 2."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh, parse_constant=_reject_constant)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read {what} {path}: {exc}")
+    if not isinstance(doc, dict):
+        parser.error(f"{what} {path} is not a JSON object")
+    return doc
 
 
 def _load_graph(path, parser):
@@ -136,17 +145,7 @@ def _cmd_seed_search(args, parser):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(rows_to_csv([row]))
-    _emit(
-        {
-            "n_nodes": row.node_count,
-            "deg_exp": row.deg_exp,
-            "lambda": row.lam,
-            "r_tr": row.r_tr,
-            "mean_coverage": row.mean_coverage,
-            "mean_avg_degree": row.mean_avg_degree,
-            "p_connected": row.p_connected,
-        }
-    )
+    _emit({column: getattr(row, attr) for column, attr in CSV_FIELDS})
     return EXIT_OK
 
 
@@ -339,13 +338,7 @@ def _seed_row(raw):
 
 
 def _experiment_config(path, threads, parser):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config {path}: {exc}")
-    if not isinstance(doc, dict):
-        parser.error(f"config {path} is not a JSON object")
+    doc = _load_json(path, "config", parser)
     if not doc.get("rows"):
         parser.error("config contains no rows")
     if threads is not None:
@@ -381,25 +374,23 @@ def _cmd_experiment(args, parser):
     return EXIT_OK if solved else EXIT_DOMAIN
 
 
-def _report_capacity(doc, n, parser, path):
-    """Whether a mean set is admissible under the report's capacity.
+def _report_model(doc, g, parser, path):
+    """The program the report declares by kind, n and capacity; a bad one exits 2.
 
-    The capacity defaults to exactly-one; a malformed one, or costs that
-    are not a list of JSON numbers, exits 2.
+    The capacity defaults to exactly-one. :class:`IlpModel` checks the
+    declaration; here only costs that are not JSON numbers are refused,
+    since a float() of a string or a bool would pass.
     """
     cap = doc.get("capacity", {"mode": CAP_EXACTLY_ONE})
     if not isinstance(cap, dict):
         parser.error(f"report {path}: capacity must be an object, got {cap!r}")
     mode, costs = cap.get("mode", CAP_EXACTLY_ONE), cap.get("costs")
+    if mode == CAP_COST and not (isinstance(costs, list) and all(map(_is_number, costs))):
+        parser.error(f"report {path}: costs must be a list of numbers, got {costs!r}")
     try:
-        if mode == CAP_COST and not (isinstance(costs, list) and all(map(_is_number, costs))):
-            raise ValueError(f"costs must be a list of numbers, got {costs!r}")
-        k = _validate_k(cap.get("k"), n) if mode == CAP_FIXED_K else None
-        costs = _validate_costs(costs, n) if mode == CAP_COST else None
-        admissible((), n, mode, k, costs)  # raises on an unknown mode
+        return build_model(g, doc.get("n"), doc.get("kind"), mode, cap.get("k"), costs)
     except ValueError as exc:
         parser.error(f"report {path}: {exc}")
-    return lambda means: admissible(means, n, mode, k, costs)
 
 
 def _is_int(value):
@@ -449,24 +440,14 @@ def _report_assignment(doc, g, n, parser, path):
 
 def _cmd_check(args, parser):
     g = _load_graph(args.graph, parser)
-    try:
-        with open(args.report) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read report {args.report}: {exc}")
-    n = doc.get("n") if isinstance(doc, dict) else None
-    if not _is_int(n) or n < 1:
-        parser.error(f"report {args.report} carries no positive integer \"n\"")
-    kind = doc.get("kind")
-    if kind not in KINDS:
-        parser.error(f"report {args.report}: kind must be one of {KINDS}, got {kind!r}")
-    admits = _report_capacity(doc, n, parser, args.report)
+    doc = _load_json(args.report, "report", parser)
+    model = _report_model(doc, g, parser, args.report)
     claimed = doc.get("errors") or {}
     if not isinstance(claimed, dict):
         parser.error(f"report {args.report}: errors must be an object, got {claimed!r}")
     obj = _report_number(doc, "objective_value", parser, args.report)
     bound = _report_number(doc, "best_bound", parser, args.report)
-    assignment, problem = _report_assignment(doc, g, n, parser, args.report)
+    assignment, problem = _report_assignment(doc, g, model.n, parser, args.report)
     problems = [problem] if problem else []
     # solve never reports a bound below its objective, and proves optimality
     # only by meeting the bound
@@ -476,12 +457,16 @@ def _cmd_check(args, parser):
         elif doc.get("status") == STATUS_OPTIMAL and bound != obj:
             problems.append(f"optimal with best_bound {bound} != objective_value {obj}")
     if assignment is not None:
-        for v, means in enumerate(assignment.assign):
-            if not admits(means):
-                problems.append(
-                    f"node {v} holds {sorted(means)}, not a portfolio its capacity admits"
-                )
-        errors = coverage_errors(g, assignment, n)
+        # solve's last test of every assignment it returns, whatever the status
+        values = model.assignment_to_values(assignment)
+        broken = model.violated_constraints(values)
+        if broken:
+            names = ", ".join(broken[:3]) + (", ..." if len(broken) > 3 else "")
+            problems.append(f"rows broken: {len(broken)} ({names})")
+        value = model.objective_value(values)
+        if obj != value:
+            problems.append(f"objective_value {obj} is not the program's {value}")
+        errors = coverage_errors(g, assignment, model.n)
         if claimed.get("miss_cov") != errors.miss_cov:
             problems.append(
                 f"miss_cov mismatch: report {claimed.get('miss_cov')}, "
@@ -492,16 +477,6 @@ def _cmd_check(args, parser):
                 f"inc_nodes mismatch: report {claimed.get('inc_nodes')}, "
                 f"recomputed {errors.inc_nodes}"
             )
-        # solve checks this identity for every assignment it returns,
-        # whatever the status
-        if kind == KIND_FEASIBILITY and errors.miss_cov:
-            problems.append("feasibility assignment leaves coverage missing")
-        elif kind == KIND_OPTIMAL_SOFT and obj is not None:
-            if g.node_count * n - obj != errors.miss_cov:
-                problems.append("objective does not match recomputed miss_cov")
-        elif kind == KIND_MAXIMAL_SOFT and obj is not None:
-            if g.node_count - obj != errors.inc_nodes:
-                problems.append("objective does not match recomputed inc_nodes")
     _emit({"valid": not problems, "problems": problems})
     return EXIT_OK if not problems else EXIT_DOMAIN
 

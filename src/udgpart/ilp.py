@@ -62,9 +62,10 @@ class IlpModel:
     """A 0-1 program declared by its kind, capacity rule and neighbourhoods.
 
     The declaration is checked when the model is made: an unknown kind or
-    capacity rule, ``n`` below 1, no nodes, a closed neighbourhood that is
-    not a set of node indices holding its own node, or a missing or invalid
-    ``k`` (fixed-k) or ``costs`` (cost rule) raise :class:`ValueError`.
+    capacity rule, ``n`` not an integer >= 1, no nodes, a closed
+    neighbourhood that is not a set of node indices holding its own node,
+    or a missing or invalid ``k`` (fixed-k) or ``costs`` (cost rule) raise
+    :class:`ValueError`.
     ``variables``, ``constraints`` and ``objective`` (maximisation sense)
     are then derived from it, so a model built directly or through
     :func:`dataclasses.replace` always has the rows its neighbourhoods and
@@ -86,8 +87,8 @@ class IlpModel:
             raise ValueError(f"unknown program kind {self.kind!r}")
         if self.capacity not in (CAP_EXACTLY_ONE, CAP_FIXED_K, CAP_COST):
             raise ValueError(f"unknown capacity mode {self.capacity!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not self.closed_neighbourhoods:
             raise ValueError("graph must have at least one node")
         _validate_neighbourhoods(self.closed_neighbourhoods)
@@ -289,34 +290,35 @@ def admissible(means, n, capacity, k=None, costs=None) -> bool:
     return abs(sum(costs[i - 1] for i in sorted(means)) - 1.0) <= 1e-9
 
 
-def _build(g, n, kind, capacity, k=None, costs=None):
+def build_model(g: GeometricGraph, n, kind, capacity, k=None, costs=None) -> IlpModel:
+    """The ``kind`` program on ``g`` under ``capacity``, checked by :class:`IlpModel`."""
     nbrs = tuple(tuple(sorted(g.closed_neighbourhood(v))) for v in range(g.node_count))
     return IlpModel(kind, capacity, n, nbrs, k=k, costs=costs)
 
 
 def build_domatic_feasibility(g: GeometricGraph, n: int) -> IlpModel:
     """Satisfiability program: is there a domatic partition of size n?"""
-    return _build(g, n, KIND_FEASIBILITY, CAP_EXACTLY_ONE)
+    return build_model(g, n, KIND_FEASIBILITY, CAP_EXACTLY_ONE)
 
 
 def build_fixed_k(g: GeometricGraph, n: int, k: int) -> IlpModel:
     """Feasibility variant with exactly k means implemented per node."""
-    return _build(g, n, KIND_FEASIBILITY, CAP_FIXED_K, k=k)
+    return build_model(g, n, KIND_FEASIBILITY, CAP_FIXED_K, k=k)
 
 
 def build_cost_based(g: GeometricGraph, n: int, costs) -> IlpModel:
     """Feasibility variant where each node spends its unit budget exactly."""
-    return _build(g, n, KIND_FEASIBILITY, CAP_COST, costs=costs)
+    return build_model(g, n, KIND_FEASIBILITY, CAP_COST, costs=costs)
 
 
 def build_optimal_soft(g: GeometricGraph, n: int) -> IlpModel:
     """Maximise reachable (node, mean) pairs; |V|*n - optimum = missing coverages."""
-    return _build(g, n, KIND_OPTIMAL_SOFT, CAP_EXACTLY_ONE)
+    return build_model(g, n, KIND_OPTIMAL_SOFT, CAP_EXACTLY_ONE)
 
 
 def build_maximal_soft(g: GeometricGraph, n: int) -> IlpModel:
     """Maximise completely covered nodes; |V| - optimum = incompletely covered."""
-    return _build(g, n, KIND_MAXIMAL_SOFT, CAP_EXACTLY_ONE)
+    return build_model(g, n, KIND_MAXIMAL_SOFT, CAP_EXACTLY_ONE)
 
 
 def build_soft_variant(g: GeometricGraph, n: int, base: str, k=None, costs=None) -> IlpModel:
@@ -327,8 +329,8 @@ def build_soft_variant(g: GeometricGraph, n: int, base: str, k=None, costs=None)
         raise ValueError("give exactly one of k or costs")
     kind = KIND_OPTIMAL_SOFT if base == "optimal" else KIND_MAXIMAL_SOFT
     if k is not None:
-        return _build(g, n, kind, CAP_FIXED_K, k=k)
-    return _build(g, n, kind, CAP_COST, costs=costs)
+        return build_model(g, n, kind, CAP_FIXED_K, k=k)
+    return build_model(g, n, kind, CAP_COST, costs=costs)
 
 
 # -- LP text export ---------------------------------------------------------

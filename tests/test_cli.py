@@ -315,14 +315,13 @@ class TestCheck:
             "n": 40,
             "kind": "maximal-soft",
             "capacity": {"mode": "cost", "costs": costs},
+            "objective_value": 0.0,
             "assignment": {"0": [1, 2], "1": [3], "2": [4, 5]},
             "errors": {"miss_cov": 3 * 35, "inc_nodes": 3},
         }))
         code, summary = run_cli(capsys, "check", "--graph", src, "--report", str(report))
         assert code == 1
-        assert summary["problems"] == [
-            "node 2 holds [4, 5], not a portfolio its capacity admits"
-        ]
+        assert summary["problems"] == ["rows broken: 1 (assign_2)"]
 
     @pytest.mark.parametrize(
         "field, value",
@@ -377,7 +376,9 @@ class TestCheck:
             tmp_path, capsys, "feasibility", "optimal", (1, 1, 1), (6, 3), 0.0
         )
         assert code == 1
-        assert summary["problems"] == ["feasibility assignment leaves coverage missing"]
+        assert summary["problems"] == [
+            "rows broken: 6 (cover_0_2, cover_0_3, cover_1_2, ...)"
+        ]
 
     def test_objective_checked_whatever_the_status(self, tmp_path, capsys):
         # means 1/2/3 leave one mean missing at each end: miss_cov 2, and
@@ -391,7 +392,28 @@ class TestCheck:
                 tmp_path, capsys, "optimal-soft", status, (1, 2, 3), (2, 2), 99.0
             )
             assert code == 1
-            assert summary["problems"] == ["objective does not match recomputed miss_cov"]
+            assert summary["problems"] == ["objective_value 99.0 is not the program's 7.0"]
+        # a feasibility program's objective is 0; the bound moves with the
+        # claimed objective, so only the objective rule can catch it
+        src = write_graph(tmp_path / "k3.json", complete_graph(3))
+        report = tmp_path / "feasible.json"
+        run_cli(
+            capsys,
+            "partition", "--graph", src, "--n", "3", "--objective", "feasible",
+            "--out", str(report),
+        )
+        doc = json.loads(report.read_text())
+        for status in ("optimal", "feasible-time-limit"):
+            for objective in (5.0, -7.0):
+                doc.update(status=status, objective_value=objective, best_bound=objective)
+                report.write_text(json.dumps(doc))
+                code, summary = run_cli(
+                    capsys, "check", "--graph", src, "--report", str(report)
+                )
+                assert code == 1
+                assert summary["problems"] == [
+                    f"objective_value {objective} is not the program's 0.0"
+                ]
 
     def test_maximal_objective_checked_against_inc_nodes(self, tmp_path, capsys):
         # means 1/2/3 leave both ends incomplete: inc_nodes 2, objective 1
@@ -403,7 +425,7 @@ class TestCheck:
             tmp_path, capsys, "maximal-soft", "optimal", (1, 2, 3), (2, 2), 2.0
         )
         assert code == 1
-        assert summary["problems"] == ["objective does not match recomputed inc_nodes"]
+        assert summary["problems"] == ["objective_value 2.0 is not the program's 1.0"]
 
     def test_unreadable_report_is_usage_error(self, tmp_path):
         src = write_graph(tmp_path / "g.json", complete_graph(3))
@@ -451,7 +473,9 @@ class TestCheck:
             )
             assert (code, summary["problems"]) == (int(bool(problems)), problems)
 
-    @pytest.mark.parametrize("bound", ["9", True, [9]])
+    # json.dumps writes the floats below as the raw text NaN, Infinity and
+    # -Infinity, which Python's json reads but JSON does not allow
+    @pytest.mark.parametrize("bound", ["9", True, [9], math.nan, math.inf, -math.inf])
     def test_bound_that_is_not_a_number_is_usage_error(self, tmp_path, capsys, bound):
         src, report = self._partition_report(tmp_path, capsys, complete_graph(3))
         doc = json.loads(report.read_text())
@@ -460,6 +484,37 @@ class TestCheck:
         with pytest.raises(SystemExit) as exc:
             main(["check", "--graph", src, "--report", str(report)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("objective", [math.nan, math.inf, -math.inf])
+    def test_objective_that_is_not_finite_is_usage_error(self, tmp_path, objective):
+        # best_bound dropped: no bound rule can catch the objective
+        src = write_graph(tmp_path / "g.json", path_graph(3))
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps({
+            "kind": "optimal-soft", "n": 3, "objective_value": objective,
+            "assignment": {"0": [1], "1": [2], "2": [3]},
+            "errors": {"miss_cov": 2, "inc_nodes": 2},
+        }))
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--graph", src, "--report", str(report)])
+        assert exc.value.code == 2
+
+    def test_empty_graph_is_usage_error(self, tmp_path):
+        # no program has no nodes, as partition already says
+        src = tmp_path / "empty.json"
+        src.write_text(json.dumps({"lambda": 0.1, "r_tr": 0.5, "nodes": [], "edges": []}))
+        report = tmp_path / "r.json"
+        report.write_text(json.dumps({
+            "kind": "optimal-soft", "n": 3, "objective_value": 0.0, "assignment": {},
+            "errors": {"miss_cov": 0, "inc_nodes": 0},
+        }))
+        for command in (
+            ["check", "--report", str(report)],
+            ["partition", "--n", "3", "--objective", "optimal"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--graph", str(src)])
+            assert exc.value.code == 2
 
 
 class TestExportLp:

@@ -1,7 +1,8 @@
 """Property tests: mutated inputs never crash the command line.
 
 A mutated ``partition`` report, graph document or experiment config must
-end in exit code 0, 1 or 2, never in a traceback.
+end in exit code 0, 1 or 2, never in a traceback, and a report that claims
+an objective its assignment does not reach never passes ``check``.
 """
 
 import contextlib
@@ -13,7 +14,7 @@ from unittest import mock
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from udgpart import cli  # noqa: E402
 from udgpart.cli import main  # noqa: E402
@@ -32,6 +33,11 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=2), inner, max_size=4),
     max_leaves=8,
 )
+# any float, with NaN, the infinities (json writes them as NaN/Infinity) and
+# a huge value drawn often
+numbers = (
+    st.integers(-3, 12) | st.sampled_from([math.nan, math.inf, -math.inf, 1e300]) | st.floats()
+)
 # per node: means drawn around the valid range, or any JSON value
 node_means = st.lists(st.integers(-1, 6), max_size=4) | json_values
 assignments = json_values | st.dictionaries(
@@ -40,9 +46,19 @@ assignments = json_values | st.dictionaries(
 # cost entries in and around (0, 1], integers on both sides of the largest
 # float, and numeric strings
 cost_entries = st.floats(0, 1.5) | st.integers(2**1023, 10**400) | st.floats(0, 1.5).map(str)
-capacities = json_values | st.fixed_dictionaries(
-    {"mode": st.sampled_from(["exactly-one", "fixed-k", "cost", "other"]) | json_values},
-    optional={"k": json_values, "costs": st.lists(cost_entries, max_size=6) | json_values},
+# cost lists holding an entry past the largest float, which float() refuses
+past_float_costs = st.tuples(
+    st.lists(cost_entries, max_size=3),
+    st.integers(2**1024, 10**400),
+    st.lists(cost_entries, max_size=2),
+).map(lambda parts: [*parts[0], parts[1], *parts[2]])
+capacities = (
+    json_values
+    | st.fixed_dictionaries(
+        {"mode": st.sampled_from(["exactly-one", "fixed-k", "cost", "other"]) | json_values},
+        optional={"k": json_values, "costs": st.lists(cost_entries, max_size=6) | json_values},
+    )
+    | st.fixed_dictionaries({"mode": st.just("cost"), "costs": past_float_costs})
 )
 errors = json_values | st.fixed_dictionaries(
     {}, optional={"miss_cov": json_values, "inc_nodes": json_values}
@@ -55,7 +71,7 @@ MUTATIONS = {
     "capacity": capacities,
     "assignment": assignments,
     "errors": errors,
-    "objective_value": json_values,
+    "objective_value": numbers | json_values,
 }
 
 
@@ -91,11 +107,39 @@ def test_check_of_mutated_report_exits_cleanly(written_report, changes, dropped)
     assert _run(["check", "--graph", graph, "--report", report]) in (0, 1, 2)
 
 
-# any float, with NaN, the infinities (json writes them as NaN/Infinity) and
-# a huge value drawn often
-numbers = (
-    st.integers(-3, 12) | st.sampled_from([math.nan, math.inf, -math.inf, 1e300]) | st.floats()
+OBJECTIVES = ("feasible", "optimal", "maximal")
+
+
+@pytest.fixture(scope="module")
+def written_reports(tmp_path_factory):
+    """A report of each objective on a 3-node graph, its graph file and a scratch path."""
+    workdir = tmp_path_factory.mktemp("fuzz-objective")
+    graph = str(workdir / "g.json")
+    with open(graph, "w") as fh:
+        fh.write(complete_graph(NODES).to_json())
+    docs = {}
+    for objective in OBJECTIVES:
+        report = str(workdir / f"{objective}.json")
+        _run(["partition", "--graph", graph, "--n", "3", "--objective", objective, "--out", report])
+        with open(report) as fh:
+            docs[objective] = json.load(fh)
+    return graph, str(workdir / "r.json"), docs
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    st.sampled_from(OBJECTIVES),
+    numbers,
+    st.sampled_from(["optimal", "feasible-time-limit"]),
 )
+def test_check_rejects_any_other_objective(written_reports, objective, value, status):
+    graph, report, docs = written_reports
+    doc = docs[objective]
+    assume(value != doc["objective_value"])  # NaN differs from every value
+    # the bound moves with the claim, so only the objective rule can catch it
+    with open(report, "w") as fh:
+        json.dump({**doc, "status": status, "objective_value": value, "best_bound": value}, fh)
+    assert _run(["check", "--graph", graph, "--report", report]) != 0
 DROP = object()
 
 

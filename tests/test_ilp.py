@@ -337,6 +337,10 @@ class TestDeclaration:
                 IlpModel(KIND_FEASIBILITY, CAP_COST, 3, nbrs, costs=(0.5, 0.5, 1.0)), n=4
             ),
             lambda nbrs: IlpModel(KIND_MAXIMAL_SOFT, CAP_EXACTLY_ONE, 0, nbrs),
+            lambda nbrs: IlpModel(KIND_MAXIMAL_SOFT, CAP_EXACTLY_ONE, True, nbrs),
+            lambda nbrs: IlpModel(KIND_MAXIMAL_SOFT, CAP_EXACTLY_ONE, 2.0, nbrs),
+            lambda nbrs: IlpModel(KIND_MAXIMAL_SOFT, CAP_EXACTLY_ONE, "2", nbrs),
+            lambda nbrs: IlpModel(KIND_MAXIMAL_SOFT, CAP_EXACTLY_ONE, None, nbrs),
             lambda nbrs: IlpModel(KIND_OPTIMAL_SOFT, CAP_EXACTLY_ONE, 2, ()),
             lambda nbrs: IlpModel(KIND_MAXIMAL_SOFT, CAP_EXACTLY_ONE, 2, ((0, 1.0), (0, 1))),
             lambda nbrs: IlpModel(KIND_MAXIMAL_SOFT, CAP_EXACTLY_ONE, 2, ((0, True), (0, 1))),
@@ -351,7 +355,8 @@ class TestDeclaration:
         ],
         ids=[
             "unknown-kind", "unknown-capacity", "fixed-k-without-k", "k-above-n",
-            "cost-without-costs", "cost-past-float", "replace-n-past-costs", "n-zero", "no-nodes",
+            "cost-without-costs", "cost-past-float", "replace-n-past-costs", "n-zero", "n-bool",
+            "n-float", "n-string", "n-none", "no-nodes",
             "float-index", "bool-index", "index-past-last-node", "negative-index",
             "repeated-index", "node-outside-own-neighbourhood",
             "replace-index-past-last-node",
