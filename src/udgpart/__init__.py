@@ -27,7 +27,6 @@ from .ilp import (
     build_fixed_k,
     build_maximal_soft,
     build_optimal_soft,
-    build_soft_variant,
     export_lp,
 )
 from .metrics import (
@@ -35,16 +34,9 @@ from .metrics import (
     ExperimentConfig,
     ResultRecord,
     coverage_errors,
-    error_bounds,
     run_experiment,
 )
 from .seeds import COVERAGE_SEEDS, DEGREE_SEEDS, SeedTableRow, coverage_seed, degree_seed
-from .solver import (
-    OracleCapError,
-    SolveLimits,
-    SolveReport,
-    brute_force,
-    solve,
-)
+from .solver import SolveLimits, SolveReport, solve
 
 __version__ = "0.1.0"

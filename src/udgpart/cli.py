@@ -32,14 +32,14 @@ from .graphs import GeometricGraph
 from .ilp import (
     CAP_COST,
     CAP_EXACTLY_ONE,
+    CAP_FIXED_K,
+    KIND_MAXIMAL_SOFT,
+    KIND_OPTIMAL_SOFT,
     PartitionAssignment,
     build_cost_based,
     build_domatic_feasibility,
     build_fixed_k,
-    build_maximal_soft,
     build_model,
-    build_optimal_soft,
-    build_soft_variant,
     export_lp,
 )
 from .metrics import ExperimentConfig, coverage_errors, run_experiment
@@ -69,6 +69,15 @@ def _load_json(path, what, parser):
     if not isinstance(doc, dict):
         parser.error(f"{what} {path} is not a JSON object")
     return doc
+
+
+def _write_out(path, text, parser):
+    """Write ``text`` to the ``--out`` file; a path that cannot be written exits 2."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write {path}: {exc}")
 
 
 def _load_graph(path, parser):
@@ -108,8 +117,7 @@ def _cmd_generate(args, parser):
     else:
         result = place_nodes(params)
     g = result.graph
-    with open(args.out, "w") as fh:
-        fh.write(g.to_json())
+    _write_out(args.out, g.to_json(), parser)
     _emit(
         {
             "coverage": result.coverage,
@@ -143,8 +151,7 @@ def _cmd_seed_search(args, parser):
         _emit({"error": "search-failed", "best_probe": list(exc.best_probe)})
         return EXIT_DOMAIN
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rows_to_csv([row]))
+        _write_out(args.out, rows_to_csv([row]), parser)
     _emit({column: getattr(row, attr) for column, attr in CSV_FIELDS})
     return EXIT_OK
 
@@ -176,8 +183,7 @@ def _cmd_adapt(args, parser):
     except (IrreducibleBridgeError, TargetUnreachableError) as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})
         return EXIT_DOMAIN
-    with open(args.out, "w") as fh:
-        fh.write(g.to_json())
+    _write_out(args.out, g.to_json(), parser)
     _emit(
         {
             "applied": applied,
@@ -209,13 +215,13 @@ def _build_model(args, g, parser):
             if costs is not None:
                 return build_cost_based(g, args.n, costs)
             return build_domatic_feasibility(g, args.n)
-        base = args.objective
-        if args.k is not None:
-            return build_soft_variant(g, args.n, base, k=args.k)
-        if costs is not None:
-            return build_soft_variant(g, args.n, base, costs=costs)
-        build = build_optimal_soft if base == "optimal" else build_maximal_soft
-        return build(g, args.n)
+        kind = KIND_OPTIMAL_SOFT if args.objective == "optimal" else KIND_MAXIMAL_SOFT
+        capacity = (
+            CAP_FIXED_K
+            if args.k is not None
+            else CAP_COST if costs is not None else CAP_EXACTLY_ONE
+        )
+        return build_model(g, args.n, kind, capacity, k=args.k, costs=costs)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -263,9 +269,7 @@ def _cmd_partition(args, parser):
     report = solve(model, limits)
     payload = _report_payload(g, model, report)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_out(args.out, json.dumps(payload, indent=2) + "\n", parser)
     _emit(
         {
             "status": report.status,
@@ -282,9 +286,7 @@ def _cmd_partition(args, parser):
 def _cmd_export_lp(args, parser):
     g = _load_graph(args.graph, parser)
     model = _build_model(args, g, parser)
-    text = export_lp(model)
-    with open(args.out, "w") as fh:
-        fh.write(text)
+    _write_out(args.out, export_lp(model), parser)
     _emit(
         {
             "variables": len(model.variables),

@@ -107,13 +107,6 @@ class GeometricGraph:
     def _edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
-    @cached_property
-    def _tag_by_edge(self) -> dict[Edge, str]:
-        return dict(zip(self.edges, self.edge_tags))
-
-    def tag_of(self, u: int, v: int) -> str:
-        return self._tag_by_edge[_norm_edge(u, v)]
-
     # -- statistics -------------------------------------------------------
 
     @property

@@ -51,11 +51,6 @@ class PartitionAssignment:
     def from_labels(cls, labels, n):
         return cls(tuple(frozenset((int(i),)) for i in labels), n)
 
-    def labels(self) -> tuple[int, ...]:
-        if any(len(m) != 1 for m in self.assign):
-            raise ValueError("not a single-mean assignment")
-        return tuple(next(iter(m)) for m in self.assign)
-
 
 @dataclass(frozen=True)
 class IlpModel:
@@ -238,16 +233,15 @@ def portfolio_domain(n, capacity, k=None, costs=None) -> tuple[frozenset[int], .
     """Admissible per-node mean portfolios, identical for every node.
 
     A single mean under exactly-one, every k-subset under fixed-k, and every
-    subset whose costs sum to 1 under the cost rule: exactly the mean sets
-    :func:`admissible` accepts.  ``k`` and ``costs`` are taken as validated.
+    subset whose costs sum to 1 (within 1e-9) under the cost rule.  ``k``
+    and ``costs`` are taken as validated.
 
     Under the cost rule a depth-first walk adds the means in ascending
-    order, summing costs left to right as :func:`admissible` does, and drops
-    a branch once its sum passes 1 + 1e-9: costs are positive, so no
-    superset comes back.  It visits only the subsets that fit the budget,
-    which is still exponential in n when many costs are tiny (n costs of
-    1/n fit every subset).  The subsets come out in the order of their
-    bitmask, mean i at bit i - 1.
+    order, summing costs left to right, and drops a branch once its sum
+    passes 1 + 1e-9: costs are positive, so no superset comes back.  It
+    visits only the subsets that fit the budget, which is still exponential
+    in n when many costs are tiny (n costs of 1/n fit every subset).  The
+    subsets come out in the order of their bitmask, mean i at bit i - 1.
     """
     means = range(1, n + 1)
     if capacity == CAP_EXACTLY_ONE:
@@ -271,23 +265,6 @@ def portfolio_domain(n, capacity, k=None, costs=None) -> tuple[frozenset[int], .
     return tuple(
         frozenset(i for i in means if mask >> (i - 1) & 1) for mask in sorted(masks)
     )
-
-
-def admissible(means, n, capacity, k=None, costs=None) -> bool:
-    """Whether a node may hold the 1-based mean set ``means``, in O(|means|).
-
-    ``k`` and ``costs`` are taken as validated.
-    """
-    if not all(1 <= i <= n for i in means):
-        return False
-    if capacity == CAP_EXACTLY_ONE:
-        return len(means) == 1
-    if capacity == CAP_FIXED_K:
-        return len(means) == k
-    if capacity != CAP_COST:
-        raise ValueError(f"unknown capacity mode {capacity!r}")
-    # summed in ascending order, as the domain's subsets are
-    return abs(sum(costs[i - 1] for i in sorted(means)) - 1.0) <= 1e-9
 
 
 def build_model(g: GeometricGraph, n, kind, capacity, k=None, costs=None) -> IlpModel:
@@ -319,18 +296,6 @@ def build_optimal_soft(g: GeometricGraph, n: int) -> IlpModel:
 def build_maximal_soft(g: GeometricGraph, n: int) -> IlpModel:
     """Maximise completely covered nodes; |V| - optimum = incompletely covered."""
     return build_model(g, n, KIND_MAXIMAL_SOFT, CAP_EXACTLY_ONE)
-
-
-def build_soft_variant(g: GeometricGraph, n: int, base: str, k=None, costs=None) -> IlpModel:
-    """Soft objective with the per-node capacity swapped for fixed-k or costs."""
-    if base not in ("optimal", "maximal"):
-        raise ValueError("base must be 'optimal' or 'maximal'")
-    if (k is None) == (costs is None):
-        raise ValueError("give exactly one of k or costs")
-    kind = KIND_OPTIMAL_SOFT if base == "optimal" else KIND_MAXIMAL_SOFT
-    if k is not None:
-        return build_model(g, n, kind, CAP_FIXED_K, k=k)
-    return build_model(g, n, kind, CAP_COST, costs=costs)
 
 
 # -- LP text export ---------------------------------------------------------

@@ -55,13 +55,6 @@ def coverage_errors(g: GeometricGraph, assignment: PartitionAssignment, n: int) 
     )
 
 
-def error_bounds(g: GeometricGraph, n: int) -> tuple[int, int]:
-    """Worst-case (incompletely covered nodes, missing coverages) for size n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return g.node_count, (n - 1) * g.node_count
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed_rows: tuple[SeedTableRow, ...]

@@ -1,27 +1,24 @@
-"""Solvers for the partition programs: exact enumeration and branch and bound.
+"""Branch and bound for the partition programs.
 
-Both solvers exploit the shared shape of the programs: every node picks one
+The solver exploits the shared shape of the programs: every node picks one
 admissible portfolio of means (a single mean, a k-subset, or a cost-exact
-subset), and coverage auxiliaries follow from the picks.  The oracle
-enumerates whole assignments; the branch-and-bound search fixes nodes one at
-a time and prunes with a combinatorial per-node coverage cap that is exact on
-leaves, so its bound never undercuts a completion of the current partial
-assignment.  All six programs take one path, a feasibility program as
-maximal-soft that must reach |V|.  Every program whose root bound is above
-its floor starts from one warm start: a tabu search from a round-robin
-portfolio labelling, on incrementally kept cover counts (the counts the
-search fixes nodes on).  When its best labelling meets the root bound it is
-optimal (for a feasibility program: satisfying) without any branching;
-otherwise the search runs with the time that is left.
+subset), and coverage auxiliaries follow from the picks.  The search fixes
+nodes one at a time and prunes with a combinatorial per-node coverage cap
+that is exact on leaves, so its bound never undercuts a completion of the
+current partial assignment.  All six programs take one path, a
+feasibility program as maximal-soft that must reach |V|.  Every program
+whose root bound is above its floor starts from one warm start: a tabu
+search from a round-robin portfolio labelling, on incrementally kept cover
+counts (the counts the search fixes nodes on).  When its best labelling
+meets the root bound it is optimal (for a feasibility program: satisfying)
+without any branching; otherwise the search runs with the time that is
+left.
 """
 
-import itertools
 import math
 import random
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .ilp import (
     CAP_EXACTLY_ONE,
@@ -41,10 +38,6 @@ STATUS_ERROR = "error"
 # feasibility search cut before any satisfying labelling answers
 # feasible-time-limit with the root bound alone, without an assignment
 ANSWERED = (STATUS_OPTIMAL, STATUS_TIME_LIMIT)
-
-
-class OracleCapError(RuntimeError):
-    """The enumeration space exceeds what the oracle is allowed to walk."""
 
 
 @dataclass(frozen=True)
@@ -75,79 +68,6 @@ class SolveReport:
 
 def _assignment_from_rows(domain, row, n):
     return PartitionAssignment(tuple(domain[int(i)] for i in row), n)
-
-
-def brute_force(model: IlpModel, cap: int = 10_000_000) -> SolveReport:
-    """True optimum by chunked enumeration of all admissible assignments.
-
-    Ties resolve to the first optimum in enumeration order (nodes ascending,
-    portfolio index ascending).  Raises :class:`OracleCapError` when the
-    space exceeds ``cap``.
-    """
-    start = time.perf_counter()
-    domain = portfolio_domain(model.n, model.capacity, model.k, model.costs)
-    nc, n = model.node_count, model.n
-    if not domain:
-        return SolveReport(
-            STATUS_INFEASIBLE, None, None, None, time.perf_counter() - start, 0
-        )
-    total = len(domain) ** nc
-    if total > cap:
-        raise OracleCapError(
-            f"{len(domain)}^{nc} = {total} assignments exceed the oracle cap {cap}"
-        )
-    has_table = np.array(
-        [[(i in p) for i in range(1, n + 1)] for p in domain], dtype=bool
-    )
-    nbrs = [np.array(ws, dtype=np.intp) for ws in model.closed_neighbourhoods]
-
-    best_val = None
-    best_row = None
-    chunk_size = 1 << 14
-    combos = itertools.product(range(len(domain)), repeat=nc)
-    explored = 0
-    while True:
-        rows = list(itertools.islice(combos, chunk_size))
-        if not rows:
-            break
-        labels = np.array(rows, dtype=np.intp)
-        holds = has_table[labels]  # (C, nc, n)
-        covered = np.empty_like(holds)
-        for v in range(nc):
-            covered[:, v, :] = holds[:, nbrs[v], :].any(axis=1)
-        if model.kind == KIND_FEASIBILITY:
-            ok = covered.all(axis=(1, 2))
-            hits = np.flatnonzero(ok)
-            if hits.size:
-                best_row = labels[hits[0]]
-                best_val = 0.0
-                explored += int(hits[0]) + 1
-                break
-            explored += len(rows)
-        else:
-            vals = (
-                covered.sum(axis=(1, 2))
-                if model.kind == KIND_OPTIMAL_SOFT
-                else covered.all(axis=2).sum(axis=1)
-            )
-            top = int(vals.argmax())
-            if best_val is None or vals[top] > best_val:
-                best_val = float(vals[top])
-                best_row = labels[top]
-            explored += len(rows)
-    wall = time.perf_counter() - start
-    # a feasibility program keeps no row unless one satisfies it
-    if best_row is None:
-        return SolveReport(STATUS_INFEASIBLE, None, None, None, wall, explored)
-    assignment = _assignment_from_rows(domain, best_row, n)
-    return SolveReport(
-        STATUS_OPTIMAL,
-        assignment,
-        float(best_val),
-        float(best_val),
-        wall,
-        explored,
-    )
 
 
 def _branch_order(nbrs):

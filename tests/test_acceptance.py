@@ -20,10 +20,11 @@ from udgpart.ilp import (
     build_optimal_soft,
     export_lp,
 )
-from udgpart.metrics import coverage_errors, error_bounds, prepare_graph
+from udgpart.metrics import coverage_errors, prepare_graph
 from udgpart.seeds import coverage_seed, degree_seed
-from udgpart.solver import OracleCapError, SolveLimits, brute_force, solve
+from udgpart.solver import SolveLimits, solve
 
+from oracles import OracleCapError, brute_force
 from test_graphs import complete_graph, cycle_graph, graph_from_edges, star_graph
 from test_ilp import GOLDEN_LP_SHA256, _golden_graph
 
@@ -127,7 +128,7 @@ def test_criterion_04_metric_bounds_fuzzed():
                 [rng.randint(1, n) for _ in range(nv)], n
             )
         e = coverage_errors(g, assign, n)
-        max_inc, max_miss = error_bounds(g, n)
+        max_inc, max_miss = g.node_count, (n - 1) * g.node_count
         assert 0 <= e.inc_nodes <= max_inc
         assert e.inc_nodes <= e.miss_cov <= (n - 1) * e.inc_nodes <= max_miss
     report(4, "bound chain held on 1000 fuzzed assignments")

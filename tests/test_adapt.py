@@ -43,7 +43,7 @@ class TestConnectComponents:
         joined = connect_components(g)
         assert joined.is_connected()
         assert set(joined.edges) - set(g.edges) == {(1, 2)}
-        assert joined.tag_of(1, 2) == "joined"
+        assert dict(zip(joined.edges, joined.edge_tags))[(1, 2)] == "joined"
 
     def test_three_singletons_chain_along_shortest_pairs(self):
         g = build_udg([(0.0, 0.0), (0.0, 0.4), (0.0, 0.9)], r_tr=0.1)
@@ -139,7 +139,8 @@ class TestEliminateBridges:
         g = path_graph(n)
         out = eliminate_bridges(g)
         assert set(out.edges) - set(g.edges) == chords
-        assert all(out.tag_of(a, b) == TAG_DEBRIDGED for a, b in chords)
+        tags = dict(zip(out.edges, out.edge_tags))
+        assert all(tags[edge] == TAG_DEBRIDGED for edge in chords)
         assert out.bridges == ()
 
     def test_no_bridge_survives_unless_a_lone_edge(self):

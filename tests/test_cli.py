@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -6,7 +7,6 @@ import pytest
 from udgpart import cli, ilp
 from udgpart.cli import main
 from udgpart.graphs import GeometricGraph
-from udgpart.seeds import rows_from_csv
 
 from test_graphs import complete_graph, path_graph, star_graph
 
@@ -188,9 +188,10 @@ class TestSeedSearch:
             "--samples", "5", "--max-probes", "30", "--out", str(out),
         )
         assert code == 0
-        [row] = rows_from_csv(out.read_text())
-        assert (row.node_count, row.deg_exp) == (20, 4.0)
-        assert (row.lam, row.r_tr, row.mean_coverage) == (
+        with open(out, newline="") as fh:
+            [row] = csv.DictReader(fh)
+        assert (int(row["n_nodes"]), float(row["deg_exp"])) == (20, 4.0)
+        assert tuple(float(row[c]) for c in ("lambda", "r_tr", "mean_coverage")) == (
             summary["lambda"], summary["r_tr"], summary["mean_coverage"]
         )
 
@@ -767,6 +768,29 @@ class TestUsageErrors:
             ]
         elif argv[0] == "generate":
             argv = argv + ["--out", str(tmp_path / "out.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--nodes", "5", "--lambda", "0.1", "--rtr", "0.3"],
+            [
+                "seed-search", "--nodes", "20", "--deg", "4", "--seed", "9",
+                "--samples", "5", "--max-probes", "30",
+            ],
+            ["adapt", "--graph", "GRAPH"],
+            ["partition", "--graph", "GRAPH", "--n", "3", "--objective", "optimal"],
+            ["export-lp", "--graph", "GRAPH", "--n", "3", "--objective", "optimal"],
+        ],
+        ids=["generate", "seed-search", "adapt", "partition", "export-lp"],
+    )
+    def test_out_that_cannot_be_written_is_usage_error(self, tmp_path, argv, capsys):
+        src = write_graph(tmp_path / "g.json", complete_graph(3))
+        out = tmp_path / "missing" / "out"
+        argv = [src if a == "GRAPH" else a for a in argv] + ["--out", str(out)]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

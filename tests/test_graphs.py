@@ -325,7 +325,7 @@ class TestJsonRoundTrip:
         assert [1, 2, "joined"] in doc["edges"]
         again = GeometricGraph.from_json(g.to_json())
         assert again == g
-        assert again.tag_of(1, 2) == "joined"
+        assert dict(zip(again.edges, again.edge_tags))[(1, 2)] == "joined"
 
 
     @pytest.mark.parametrize(

@@ -14,19 +14,19 @@ from udgpart.ilp import (
     KIND_OPTIMAL_SOFT,
     IlpModel,
     PartitionAssignment,
-    admissible,
     build_cost_based,
     build_domatic_feasibility,
     build_fixed_k,
     build_maximal_soft,
+    build_model,
     build_optimal_soft,
-    build_soft_variant,
     export_lp,
     portfolio_domain,
 )
 from udgpart.metrics import prepare_graph
 from udgpart.seeds import degree_seed
 
+from oracles import admissible
 from test_graphs import complete_graph, cycle_graph, graph_from_edges, star_graph
 
 
@@ -39,9 +39,9 @@ class TestAssignment:
         with pytest.raises(ValueError):
             PartitionAssignment((frozenset((4,)),), 3)
 
-    def test_label_round_trip(self):
+    def test_from_labels_gives_each_node_its_mean(self):
         a = PartitionAssignment.from_labels([1, 3, 2], 3)
-        assert a.labels() == (1, 3, 2)
+        assert a.assign == (frozenset((1,)), frozenset((3,)), frozenset((2,)))
 
 
 def _cost_vectors(n):
@@ -248,22 +248,13 @@ class TestSoftModels:
         assert m.violated_constraints(values) == []
         assert m.objective_value(values) == 0.0
 
-    def test_soft_variant_argument_checks(self):
-        g = complete_graph(3)
-        with pytest.raises(ValueError):
-            build_soft_variant(g, 3, "optimal")
-        with pytest.raises(ValueError):
-            build_soft_variant(g, 3, "optimal", k=2, costs=(1, 1, 1))
-        with pytest.raises(ValueError):
-            build_soft_variant(g, 3, "best", k=2)
-
     def test_every_variable_appears_somewhere(self):
         g = star_graph(3)
         for m in (
             build_domatic_feasibility(g, 2),
             build_optimal_soft(g, 2),
             build_maximal_soft(g, 2),
-            build_soft_variant(g, 2, "maximal", k=2),
+            build_model(g, 2, KIND_MAXIMAL_SOFT, CAP_FIXED_K, k=2),
         ):
             used = set()
             for c in m.constraints:
@@ -285,11 +276,11 @@ PROGRAMS = [
     (build_optimal_soft, KIND_OPTIMAL_SOFT, CAP_EXACTLY_ONE, None, None),
     (build_maximal_soft, KIND_MAXIMAL_SOFT, CAP_EXACTLY_ONE, None, None),
     (
-        lambda g, n: build_soft_variant(g, n, "optimal", k=2),
+        lambda g, n: build_model(g, n, KIND_OPTIMAL_SOFT, CAP_FIXED_K, k=2),
         KIND_OPTIMAL_SOFT, CAP_FIXED_K, 2, None,
     ),
     (
-        lambda g, n: build_soft_variant(g, n, "maximal", costs=(0.5,) * n),
+        lambda g, n: build_model(g, n, KIND_MAXIMAL_SOFT, CAP_COST, costs=(0.5,) * n),
         KIND_MAXIMAL_SOFT, CAP_COST, None, (0.5,) * 3,
     ),
 ]
@@ -433,11 +424,11 @@ GOLDEN_LP_SHA256 = {
     ),
     "optimal-soft-fixed-k": (
         "180f126e4ce16c0af50c6f1d27bea3a5374a54827c876f480d69e6352188c981",
-        lambda g: build_soft_variant(g, 4, "optimal", k=2),
+        lambda g: build_model(g, 4, KIND_OPTIMAL_SOFT, CAP_FIXED_K, k=2),
     ),
     "maximal-soft-cost": (
         "e5ade2e45ff15cca3748e741ca3e4e9b98cd1073a647896994e1d27caa47802e",
-        lambda g: build_soft_variant(g, 4, "maximal", costs=(0.25, 0.75, 0.5, 0.5)),
+        lambda g: build_model(g, 4, KIND_MAXIMAL_SOFT, CAP_COST, costs=(0.25, 0.75, 0.5, 0.5)),
     ),
 }
 

@@ -18,7 +18,6 @@ from udgpart.metrics import (
     aggregate_optimal_split,
     aggregate_relative_means,
     coverage_errors,
-    error_bounds,
     read_results_csv,
     run_experiment,
     write_aggregates,
@@ -72,18 +71,24 @@ class TestCoverageErrors:
 
 
 class TestErrorBounds:
+    """n means on |V| nodes leave at most |V| nodes incomplete and
+    (n - 1)·|V| coverages missing."""
+
     def test_formula(self):
+        # an isolated node sees its own mean only, so it misses the other n - 1
         g = graph_from_edges(10, [])
-        assert error_bounds(g, 4) == (10, 30)
+        errors = coverage_errors(g, PartitionAssignment.from_labels([1] * 10, 4), 4)
+        assert (errors.inc_nodes, errors.miss_cov) == (10, 3 * 10)
 
     def test_single_mean_never_misses(self):
         g = graph_from_edges(10, [])
-        assert error_bounds(g, 1) == (10, 0)
+        errors = coverage_errors(g, PartitionAssignment.from_labels([1] * 10, 1), 1)
+        assert (errors.inc_nodes, errors.miss_cov) == (0, 0)
 
     def test_all_same_mean_realises_bound(self):
         g = graph_from_edges(5, [(i, i + 1) for i in range(4)])
         errors = coverage_errors(g, PartitionAssignment.from_labels([1] * 5, 3), 3)
-        max_inc, max_miss = error_bounds(g, 3)
+        max_inc, max_miss = g.node_count, (3 - 1) * g.node_count
         assert errors.inc_nodes == max_inc == 5
         assert errors.miss_cov == max_miss == 10
 
@@ -103,7 +108,7 @@ class TestErrorBounds:
                 [rng.randint(1, n) for _ in range(nv)], n
             )
             e = coverage_errors(g, a, n)
-            max_inc, max_miss = error_bounds(g, n)
+            max_inc, max_miss = g.node_count, (n - 1) * g.node_count
             assert 0 <= e.inc_nodes <= max_inc
             assert e.inc_nodes <= e.miss_cov <= (n - 1) * e.inc_nodes <= max_miss
 

@@ -1,11 +1,15 @@
+import csv
+import io
+
 import pytest
 
 from udgpart.seeds import (
     COVERAGE_SEEDS,
+    CSV_FIELDS,
     DEGREE_SEEDS,
+    SeedTableRow,
     coverage_seed,
     degree_seed,
-    rows_from_csv,
     rows_to_csv,
 )
 
@@ -62,7 +66,15 @@ class TestCoverageSeeds:
 class TestCsv:
     def test_round_trip(self):
         text = rows_to_csv(DEGREE_SEEDS[:5])
-        back = rows_from_csv(text)
+        back = tuple(
+            SeedTableRow(
+                **{
+                    attr: (int if attr == "node_count" else float)(rec[column])
+                    for column, attr in CSV_FIELDS
+                }
+            )
+            for rec in csv.DictReader(io.StringIO(text))
+        )
         assert back == DEGREE_SEEDS[:5]
 
     def test_header(self):

@@ -10,27 +10,24 @@ import pytest
 from udgpart import solver
 from udgpart.generator import GeneratorParams, place_nodes
 from udgpart.ilp import (
+    CAP_COST,
+    CAP_FIXED_K,
+    KIND_MAXIMAL_SOFT,
+    KIND_OPTIMAL_SOFT,
     PartitionAssignment,
     build_cost_based,
     build_domatic_feasibility,
     build_fixed_k,
     build_maximal_soft,
+    build_model,
     build_optimal_soft,
-    build_soft_variant,
     portfolio_domain,
 )
 from udgpart.metrics import coverage_errors, prepare_graph
 from udgpart.seeds import degree_seed
-from udgpart.solver import (
-    OracleCapError,
-    SolveLimits,
-    _Cover,
-    _search,
-    _tabu,
-    brute_force,
-    solve,
-)
+from udgpart.solver import SolveLimits, _Cover, _search, _tabu, solve
 
+from oracles import OracleCapError, brute_force
 from test_graphs import complete_graph, cycle_graph, graph_from_edges, star_graph
 
 P2 = graph_from_edges(2, [(0, 1)])
@@ -119,8 +116,7 @@ class TestBruteForce:
     def test_k3_feasibility_finds_permutation(self):
         r = brute_force(build_domatic_feasibility(complete_graph(3), 3))
         assert r.status == "optimal"
-        labels = r.assignment.labels()
-        assert sorted(labels) == [1, 2, 3]
+        assert set(r.assignment.assign) == {frozenset((i,)) for i in (1, 2, 3)}
 
     def test_star_feasibility_infeasible(self):
         r = brute_force(build_domatic_feasibility(star_graph(4), 3))
@@ -132,12 +128,12 @@ class TestBruteForce:
         assert r.status == "optimal"
 
     def test_soft_variant_k2_fully_covers_star(self):
-        r = brute_force(build_soft_variant(star_graph(4), 3, "optimal", k=2))
+        r = brute_force(build_model(star_graph(4), 3, KIND_OPTIMAL_SOFT, CAP_FIXED_K, k=2))
         assert r.objective == 15.0  # |V| * n, i.e. zero missing coverages
 
     def test_p2_cost_maximal_covers_both_nodes(self):
         # portfolios {1,2} and {3}; mixed picks expose all three means to both
-        r = brute_force(build_soft_variant(P2, 3, "maximal", costs=(0.5, 0.5, 1.0)))
+        r = brute_force(build_model(P2, 3, KIND_MAXIMAL_SOFT, CAP_COST, costs=(0.5, 0.5, 1.0)))
         assert r.objective == 2.0
 
     def test_infeasible_cost_vector(self):
@@ -221,8 +217,8 @@ class TestSolve:
         for m in (
             build_optimal_soft(g, 4),
             build_maximal_soft(g, 4),
-            build_soft_variant(g, 4, "optimal", k=2),
-            build_soft_variant(g, 5, "maximal", costs=(0.5, 0.5, 0.5, 0.5, 1.0)),
+            build_model(g, 4, KIND_OPTIMAL_SOFT, CAP_FIXED_K, k=2),
+            build_model(g, 5, KIND_MAXIMAL_SOFT, CAP_COST, costs=(0.5, 0.5, 0.5, 0.5, 1.0)),
         ):
             r = solve(m, SolveLimits(time_limit=1e-9))
             assert r.status == "feasible-time-limit"
@@ -241,7 +237,7 @@ class TestSolve:
         assert m.violated_constraints(values) == []
 
     def test_cost_capacity_solved(self):
-        m = build_soft_variant(P2, 3, "maximal", costs=(0.5, 0.5, 1.0))
+        m = build_model(P2, 3, KIND_MAXIMAL_SOFT, CAP_COST, costs=(0.5, 0.5, 1.0))
         r = solve(m)
         assert r.status == "optimal"
         assert r.objective == 2.0
@@ -262,8 +258,8 @@ class TestSolve:
         for trial in range(3):
             g = _random_lambda_udg(trial + 700, lo=4, hi=7)
             for m in (
-                build_soft_variant(g, n, "optimal", costs=costs),
-                build_soft_variant(g, n, "maximal", costs=costs),
+                build_model(g, n, KIND_OPTIMAL_SOFT, CAP_COST, costs=costs),
+                build_model(g, n, KIND_MAXIMAL_SOFT, CAP_COST, costs=costs),
                 build_cost_based(g, n, costs),
             ):
                 caps = root_caps(m)
@@ -280,7 +276,7 @@ class TestSolve:
 
     def test_fixed_k_equals_n_perfect(self):
         g = cycle_graph(6)
-        m = build_soft_variant(g, 3, "maximal", k=3)
+        m = build_model(g, 3, KIND_MAXIMAL_SOFT, CAP_FIXED_K, k=3)
         r = solve(m)
         assert r.status == "optimal"
         assert r.objective == 6.0
@@ -307,7 +303,7 @@ class TestSolve:
                 covers.append(self)
 
         monkeypatch.setattr(solver, "_Cover", Recorded)
-        m = build_soft_variant(graph_from_edges(1, []), 12, "maximal", k=6)
+        m = build_model(graph_from_edges(1, []), 12, KIND_MAXIMAL_SOFT, CAP_FIXED_K, k=6)
         r = solve(m, SolveLimits(time_limit=30))
         assert (r.status, r.objective) == ("optimal", 0.0)
         [cover] = covers
@@ -456,10 +452,10 @@ class TestFeasibilityWarmStart:
     def test_soft_portfolio_variants_match_oracle(self):
         for trial in range(8):
             g = _random_lambda_udg(trial + 500, lo=4, hi=8)
-            for base in ("optimal", "maximal"):
+            for kind in (KIND_OPTIMAL_SOFT, KIND_MAXIMAL_SOFT):
                 for m in (
-                    build_soft_variant(g, 3, base, k=2),
-                    build_soft_variant(g, 3, base, costs=_COSTS),
+                    build_model(g, 3, kind, CAP_FIXED_K, k=2),
+                    build_model(g, 3, kind, CAP_COST, costs=_COSTS),
                 ):
                     r = solve(m, SolveLimits(time_limit=30))
                     assert r.status == "optimal"
@@ -600,8 +596,8 @@ def test_search_alone_matches_oracle_and_recorded_path(trial):
         build_cost_based(g, 3, _COSTS),
         build_optimal_soft(g, 4),
         build_maximal_soft(g, 4),
-        build_soft_variant(g, 3, "optimal", k=2),
-        build_soft_variant(g, 3, "maximal", costs=_COSTS),
+        build_model(g, 3, KIND_OPTIMAL_SOFT, CAP_FIXED_K, k=2),
+        build_model(g, 3, KIND_MAXIMAL_SOFT, CAP_COST, costs=_COSTS),
     )
     explored = []
     for m in programs:
@@ -667,12 +663,12 @@ def _cover_programs(g):
         yield build_maximal_soft(g, n)
         yield build_domatic_feasibility(g, n)
     for n, k in ((4, 2), (5, 2)):
-        yield build_soft_variant(g, n, "optimal", k=k)
-        yield build_soft_variant(g, n, "maximal", k=k)
+        yield build_model(g, n, KIND_OPTIMAL_SOFT, CAP_FIXED_K, k=k)
+        yield build_model(g, n, KIND_MAXIMAL_SOFT, CAP_FIXED_K, k=k)
         yield build_fixed_k(g, n, k)
     costs = (0.5, 0.5, 1.0)
-    yield build_soft_variant(g, 3, "optimal", costs=costs)
-    yield build_soft_variant(g, 3, "maximal", costs=costs)
+    yield build_model(g, 3, KIND_OPTIMAL_SOFT, CAP_COST, costs=costs)
+    yield build_model(g, 3, KIND_MAXIMAL_SOFT, CAP_COST, costs=costs)
     yield build_cost_based(g, 3, costs)
 
 
