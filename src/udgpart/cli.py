@@ -266,6 +266,8 @@ def _cmd_partition(args, parser):
     except ValueError as exc:
         parser.error(str(exc))
     model = _build_model(args, g, parser)
+    if args.out:  # claim the path now, not after a solve of up to --time-limit
+        _write_out(args.out, "", parser)
     report = solve(model, limits)
     payload = _report_payload(g, model, report)
     if args.out:
@@ -297,17 +299,18 @@ def _cmd_export_lp(args, parser):
     return EXIT_OK
 
 
-# config key -> (ExperimentConfig field, conversion); absent keys keep the
-# ExperimentConfig defaults
+# config key -> (ExperimentConfig field, conversion or None to pass the value
+# as read); absent keys keep the ExperimentConfig defaults, and ExperimentConfig
+# checks every value
 _CONFIG_FIELDS = {
-    "graphs_per_row": ("graphs_per_row", int),
+    "graphs_per_row": ("graphs_per_row", None),
     "partition_sizes": ("partition_sizes", tuple),
     "objectives": ("objectives", tuple),
     "time_limit": ("limits", lambda t: SolveLimits(time_limit=float(t))),
     "variant": ("variant", str),
-    "seed": ("rng_seed", int),
-    "max_attempts": ("max_attempts", int),
-    "threads": ("threads", int),
+    "seed": ("rng_seed", None),
+    "max_attempts": ("max_attempts", None),
+    "threads": ("threads", None),
 }
 
 
@@ -346,13 +349,11 @@ def _experiment_config(path, threads, parser):
     if threads is not None:
         doc["threads"] = threads
     try:
-        _check_json_types(
-            doc, ("graphs_per_row", "seed", "max_attempts", "threads"), ("time_limit",)
-        )
+        _check_json_types(doc, (), ("time_limit",))
         return ExperimentConfig(
             seed_rows=tuple(_seed_row(raw) for raw in doc["rows"]),
             **{
-                name: convert(doc[key])
+                name: convert(doc[key]) if convert else doc[key]
                 for key, (name, convert) in _CONFIG_FIELDS.items()
                 if key in doc
             },
@@ -363,7 +364,10 @@ def _experiment_config(path, threads, parser):
 
 def _cmd_experiment(args, parser):
     config = _experiment_config(args.config, args.threads, parser)
-    records = run_experiment(config, out_dir=args.out_dir)
+    try:
+        records = run_experiment(config, out_dir=args.out_dir)
+    except ValueError as exc:  # an --out-dir that cannot hold the results
+        parser.error(str(exc))
     solved = [r for r in records if r.status in ANSWERED]
     _emit(
         {

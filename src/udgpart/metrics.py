@@ -55,6 +55,10 @@ def coverage_errors(g: GeometricGraph, assignment: PartitionAssignment, n: int) 
     )
 
 
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed_rows: tuple[SeedTableRow, ...]
@@ -68,8 +72,12 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.graphs_per_row < 1:
-            raise ValueError("graphs_per_row must be >= 1")
+        for name, least in (
+            ("graphs_per_row", 1), ("rng_seed", 0), ("max_attempts", 1), ("threads", 1)
+        ):
+            value = getattr(self, name)
+            if not _is_integer(value) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not self.seed_rows:
             raise ValueError("seed_rows must not be empty")
         for row in self.seed_rows:
@@ -77,12 +85,6 @@ class ExperimentConfig:
             GeneratorParams(node_count=row.node_count, lam=row.lam, r_tr=row.r_tr)
             if not row.deg_exp >= 0:
                 raise ValueError(f"deg_exp must be >= 0, got {row.deg_exp}")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
-        if self.rng_seed < 0:
-            raise ValueError("seed must be >= 0")
         if not self.partition_sizes:
             raise ValueError("partition_sizes must not be empty")
         if not self.objectives:
@@ -92,10 +94,7 @@ class ExperimentConfig:
         bad = [o for o in self.objectives if o not in ("optimal", "maximal")]
         if bad:
             raise ValueError(f"unknown objectives {bad}")
-        bad = [
-            n for n in self.partition_sizes
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1
-        ]
+        bad = [n for n in self.partition_sizes if not _is_integer(n) or n < 1]
         if bad:
             raise ValueError(f"partition sizes must be positive integers, got {bad}")
 
@@ -134,10 +133,19 @@ def _cell(value):
     return "" if value is None else value
 
 
+def _number(cell):
+    """A float field's cell; one without a point or an exponent was an int."""
+    try:
+        return int(cell)
+    except ValueError:
+        return float(cell)
+
+
 def _field_parser(annotation):
     """(parse, optional) for a field annotated ``T`` or ``T | None``."""
     types = [t for t in typing.get_args(annotation) if t is not type(None)]
-    return (types[0], True) if types else (annotation, False)
+    parse, optional = (types[0], True) if types else (annotation, False)
+    return (_number if parse is float else parse), optional
 
 
 # results.csv: one column per ResultRecord field, in declaration order
@@ -233,13 +241,18 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> list
     Records stream to ``results.csv`` as they are produced, in the same order
     for any ``threads``: each skipped record when its graph fails, then the
     solved cells in row, graph, n and objective order.  The aggregate files
-    are written in a second pass over the finished record list.
+    are written in a second pass over the finished record list.  An
+    ``out_dir`` that cannot hold ``results.csv`` raises ``ValueError`` before
+    any graph is generated.
     """
     writer = None
     handle = None
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        handle = open(os.path.join(out_dir, "results.csv"), "w", newline="")
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            handle = open(os.path.join(out_dir, "results.csv"), "w", newline="")
+        except OSError as exc:
+            raise ValueError(f"cannot write results to {out_dir}: {exc}") from exc
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(RESULT_COLUMNS)
 
@@ -289,129 +302,79 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> list
 # -- aggregation ------------------------------------------------------------
 
 
-def _median_low(values):
-    ordered = sorted(values)
-    return ordered[(len(ordered) - 1) // 2]
-
-
 GROUP_COLUMNS = ("variant", "objective", "n", "deg_exp", "n_nodes")
-_SPLIT_COLUMNS = (
-    "mean_miss_cov_nonopt", "mean_miss_cov_opt",
-    "mean_inc_nodes_nonopt", "mean_inc_nodes_opt",
-    "n_opt", "n_nonopt",
-)
-
-
-def _solved(records):
-    return [r for r in records if r.status in ANSWERED and r.miss_cov is not None]
-
-
-def _grouped(records):
-    """Solved records grouped by GROUP_COLUMNS: sorted (key, records) pairs.
-
-    Within a group, records keep (graph_id, n, objective) order.
-    """
-    groups = {}
-    for rec in sorted(_solved(records), key=lambda r: (r.graph_id, r.n, r.objective)):
-        key = tuple(getattr(rec, c) for c in GROUP_COLUMNS)
-        groups.setdefault(key, []).append(rec)
-    return sorted(groups.items())
 
 
 def _mean(vals):
     return sum(vals) / len(vals) if vals else None
 
 
-def aggregate_median_times(records):
-    """Per group: the lower-middle median of solve wall time."""
-    return {
-        key: (_median_low([r.wall_time_s for r in recs]), len(recs))
-        for key, recs in _grouped(records)
-    }
+def write_aggregates(records, out_dir):
+    """Write the four aggregate tables of the answered records to ``out_dir``.
 
-
-def aggregate_mean_inc_nodes(records):
-    return {
-        key: (_mean([r.inc_nodes for r in recs]), len(recs))
-        for key, recs in _grouped(records)
-    }
-
-
-def aggregate_optimal_split(records):
-    """Table of mean errors split by proven-optimal versus time-limited."""
-    out = {}
-    for key, recs in _grouped(records):
+    One grouping by GROUP_COLUMNS, sorted by key and keeping (graph_id, n,
+    objective) order in a group, feeds the per-group median solve time, mean
+    inc_nodes and mean errors split by proven-optimal versus time-limited.
+    ``agg_relative.csv`` holds, in percent over the instances where both
+    objectives were proven optimal, how much lower the optimal partition's
+    missing coverages are than the maximal partition's (relative to the
+    worst case), and vice versa for incompletely covered nodes.
+    """
+    answered = sorted(
+        (r for r in records if r.status in ANSWERED and r.miss_cov is not None),
+        key=lambda r: (r.graph_id, r.n, r.objective),
+    )
+    groups = {}
+    pairs = {}
+    for rec in answered:
+        groups.setdefault(tuple(getattr(rec, c) for c in GROUP_COLUMNS), []).append(rec)
+        if rec.status == "optimal":
+            pairs.setdefault((rec.graph_id, rec.n), {})[rec.objective] = rec
+    median, inc, split = [], [], []
+    for key, recs in sorted(groups.items()):
+        times = sorted(r.wall_time_s for r in recs)
+        median.append(key + (times[(len(times) - 1) // 2], len(recs)))
+        inc.append(key + (_mean([r.inc_nodes for r in recs]), len(recs)))
         opt = [r for r in recs if r.status == "optimal"]
         non = [r for r in recs if r.status != "optimal"]
-        values = (
+        split.append(key + (
             _mean([r.miss_cov for r in non]), _mean([r.miss_cov for r in opt]),
             _mean([r.inc_nodes for r in non]), _mean([r.inc_nodes for r in opt]),
             len(opt), len(non),
-        )
-        out[key] = dict(zip(_SPLIT_COLUMNS, values))
-    return out
-
-
-def aggregate_relative_means(records):
-    """Mean error advantage of each objective over the other, in percent.
-
-    Taken over instances where both objectives were proven optimal: how much
-    lower the optimal partition's missing coverages are than the maximal
-    partition's (relative to the worst case), and vice versa for
-    incompletely covered nodes.
-    """
-    by_instance = {}
-    for rec in _solved(records):
-        if rec.status != "optimal":
-            continue
-        by_instance.setdefault((rec.graph_id, rec.n), {})[rec.objective] = rec
+        ))
+    # pairs fill in (graph_id, n) order, the order the gains are summed in
     miss_gains = []
     inc_gains = []
-    for (graph_id, n), pair in sorted(by_instance.items()):
+    for (graph_id, n), pair in pairs.items():
         if "optimal" not in pair or "maximal" not in pair or n < 2:
             continue
         opt, mx = pair["optimal"], pair["maximal"]
         max_miss = (n - 1) * opt.n_nodes
         miss_gains.append((mx.miss_cov - opt.miss_cov) / max_miss)
         inc_gains.append((opt.inc_nodes - mx.inc_nodes) / opt.n_nodes)
-    if not miss_gains:
-        return {"p_miss_cov": None, "p_inc_nodes": None, "instances": 0}
-    return {
-        "p_miss_cov": 100.0 * sum(miss_gains) / len(miss_gains),
-        "p_inc_nodes": 100.0 * sum(inc_gains) / len(inc_gains),
-        "instances": len(miss_gains),
-    }
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows([_cell(x) for x in row] for row in rows)
-
-
-def write_aggregates(records, out_dir):
-    _write_csv(
-        os.path.join(out_dir, "agg_median_time.csv"),
-        GROUP_COLUMNS + ("median_wall_time_s", "records"),
-        [key + value for key, value in aggregate_median_times(records).items()],
+    relative = (None, None, 0)
+    if miss_gains:
+        relative = (
+            100.0 * sum(miss_gains) / len(miss_gains),
+            100.0 * sum(inc_gains) / len(inc_gains),
+            len(miss_gains),
+        )
+    split_columns = (
+        "mean_miss_cov_nonopt", "mean_miss_cov_opt",
+        "mean_inc_nodes_nonopt", "mean_inc_nodes_opt",
+        "n_opt", "n_nonopt",
     )
-    _write_csv(
-        os.path.join(out_dir, "agg_mean_inc_nodes.csv"),
-        GROUP_COLUMNS + ("mean_inc_nodes", "records"),
-        [key + value for key, value in aggregate_mean_inc_nodes(records).items()],
-    )
-    split = aggregate_optimal_split(records)
-    _write_csv(
-        os.path.join(out_dir, "agg_opt_split.csv"),
-        GROUP_COLUMNS + _SPLIT_COLUMNS,
-        [key + tuple(row.values()) for key, row in split.items()],
-    )
-    _write_csv(
-        os.path.join(out_dir, "agg_relative.csv"),
-        ("p_miss_cov_percent", "p_inc_nodes_percent", "instances"),
-        [tuple(aggregate_relative_means(records).values())],
-    )
+    relative_columns = ("p_miss_cov_percent", "p_inc_nodes_percent", "instances")
+    for name, header, rows in (
+        ("agg_median_time.csv", GROUP_COLUMNS + ("median_wall_time_s", "records"), median),
+        ("agg_mean_inc_nodes.csv", GROUP_COLUMNS + ("mean_inc_nodes", "records"), inc),
+        ("agg_opt_split.csv", GROUP_COLUMNS + split_columns, split),
+        ("agg_relative.csv", relative_columns, [relative]),
+    ):
+        with open(os.path.join(out_dir, name), "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows([_cell(x) for x in row] for row in rows)
 
 
 def read_results_csv(path) -> list[ResultRecord]:

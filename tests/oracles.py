@@ -4,7 +4,9 @@
 knows its true optimum; ``admissible`` decides one node's mean set by the
 capacity rule alone.  Neither shares code with the branch-and-bound search
 or with ``ilp.portfolio_domain``, which makes them independent oracles for
-small instances.  Import them as ``from oracles import ...``.
+small instances.  ``highs`` hands a program's rows to scipy's HiGHS MILP
+solver, an exact solver past the enumeration's reach.  Import them as
+``from oracles import ...``.
 """
 
 import itertools
@@ -121,3 +123,39 @@ def admissible(means, n, capacity, k=None, costs=None) -> bool:
         raise ValueError(f"unknown capacity mode {capacity!r}")
     # summed in ascending order, as the domain's subsets are
     return abs(sum(costs[i - 1] for i in sorted(means)) - 1.0) <= 1e-9
+
+
+def highs(model, time_limit=60):
+    """Optimum of ``model`` over its 0-1 points as scipy's HiGHS proves it.
+
+    ``model`` needs ``variables``, ``constraints`` (rows with ``terms``,
+    ``relation`` and ``bound``) and ``objective`` ((index, coefficient)
+    pairs to maximise, or None for a feasibility program, whose optimum is
+    0).  None when HiGHS proves the program infeasible; a result it does not
+    prove within ``time_limit`` seconds fails the calling test.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    nv = len(model.variables)
+    cost = np.zeros(nv)
+    for idx, coef in model.objective or ():
+        cost[idx] -= coef  # milp minimises
+    rows, cols, vals, lo, hi = [], [], [], [], []
+    for r, con in enumerate(model.constraints):
+        for idx, coef in con.terms:
+            rows.append(r)
+            cols.append(idx)
+            vals.append(coef)
+        lo.append(con.bound if con.relation in (">=", "=") else -np.inf)
+        hi.append(con.bound if con.relation in ("<=", "=") else np.inf)
+    matrix = coo_array((vals, (rows, cols)), shape=(len(model.constraints), nv)).tocsr()
+    res = milp(
+        cost,
+        constraints=LinearConstraint(matrix, lo, hi),
+        integrality=np.ones(nv),
+        bounds=Bounds(0, 1),
+        options={"time_limit": time_limit},
+    )
+    assert res.status in (0, 2), res.message  # 0: solved, 2: infeasible
+    return 0.0 - res.fun if res.status == 0 else None

@@ -6,6 +6,7 @@ the measured quantities they are based on.
 
 import random
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from udgpart.adapt import ThinningStrategy, connect_components, eliminate_bridge
 from udgpart.generator import GeneratorParams, SeedSearchTargets, place_nodes, seed_search
 from udgpart.graphs import build_udg
 from udgpart.ilp import (
+    Constraint,
     PartitionAssignment,
     build_domatic_feasibility,
     build_maximal_soft,
@@ -24,7 +26,7 @@ from udgpart.metrics import coverage_errors, prepare_graph
 from udgpart.seeds import coverage_seed, degree_seed
 from udgpart.solver import SolveLimits, solve
 
-from oracles import OracleCapError, brute_force
+from oracles import OracleCapError, brute_force, highs
 from test_graphs import complete_graph, cycle_graph, graph_from_edges, star_graph
 from test_ilp import GOLDEN_LP_SHA256, _golden_graph
 
@@ -299,7 +301,11 @@ def test_criterion_10_time_limit_contract():
 
 
 def _parse_lp(text):
-    """Minimal parser for the exported LP subset, as an external consumer would read it."""
+    """Minimal parser for the exported LP subset, as an external consumer would read it.
+
+    The program comes back as the oracle reads one: binaries in name order,
+    the rows and the objective over their indices.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     section = None
     objective = {}
@@ -332,47 +338,24 @@ def _parse_lp(text):
         if section == "Maximize":
             objective = parse_terms(line.split(":", 1)[1])
         elif section == "Subject To":
-            body = line.split(":", 1)[1]
+            name, body = line.split(":", 1)
             for rel in ("<=", ">=", "="):
                 if f" {rel} " in body:
                     expr, bound = body.split(f" {rel} ")
-                    constraints.append((parse_terms(expr), rel, float(bound)))
+                    constraints.append((name, parse_terms(expr), rel, float(bound)))
                     break
         elif section == "Binary":
             binaries.append(line)
-    return objective, constraints, binaries
-
-
-def _highs_optimum(text):
-    """Optimum of LP text as HiGHS solves it after ``_parse_lp`` reads it back.
-
-    None when HiGHS proves the program infeasible.
-    """
-    from scipy.optimize import LinearConstraint, milp
-
-    objective, constraints, binaries = _parse_lp(text)
     names = sorted(binaries)
     idx = {name: i for i, name in enumerate(names)}
-    c = np.zeros(len(names))
-    for name, coef in objective.items():
-        c[idx[name]] = -coef  # scipy minimises
-    rows, lbs, ubs = [], [], []
-    for terms, rel, bound in constraints:
-        row = np.zeros(len(names))
-        for name, coef in terms.items():
-            row[idx[name]] = coef
-        rows.append(row)
-        lbs.append(bound if rel in (">=", "=") else -np.inf)
-        ubs.append(bound if rel in ("<=", "=") else np.inf)
-    result = milp(
-        c,
-        constraints=LinearConstraint(np.array(rows), lbs, ubs),
-        integrality=np.ones(len(names)),
-        bounds=(0, 1),
-        options={"time_limit": 60},
+    return SimpleNamespace(
+        variables=names,
+        constraints=[
+            Constraint(name, tuple((idx[v], c) for v, c in terms.items()), rel, bound)
+            for name, terms, rel, bound in constraints
+        ],
+        objective=tuple((idx[v], c) for v, c in objective.items()),
     )
-    assert result.status in (0, 2), result.message  # 0: solved, 2: infeasible
-    return 0.0 - result.fun if result.status == 0 else None
 
 
 @pytest.mark.parametrize("program", sorted(GOLDEN_LP_SHA256))
@@ -387,12 +370,12 @@ def test_criterion_11_lp_export_round_trip(program):
     except OracleCapError:
         reference, by = solve(model, SolveLimits(time_limit=60)), "solve"
     assert reference.status in ("optimal", "infeasible")
-    highs = _highs_optimum(text)
-    assert (highs is None) == (reference.objective is None)
-    if highs is not None:
-        assert highs == pytest.approx(reference.objective)
+    optimum = highs(_parse_lp(text))
+    assert (optimum is None) == (reference.objective is None)
+    if optimum is not None:
+        assert optimum == pytest.approx(reference.objective)
     report(
         11,
         f"{program}: byte-stable LP text; HiGHS on the parsed file reports "
-        f"{highs}, {by} {reference.status} at {reference.objective}",
+        f"{optimum}, {by} {reference.status} at {reference.objective}",
     )

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from udgpart import cli, ilp
+from udgpart import cli, ilp, metrics
 from udgpart.cli import main
 from udgpart.graphs import GeometricGraph
 
@@ -787,12 +787,30 @@ class TestUsageErrors:
         ],
         ids=["generate", "seed-search", "adapt", "partition", "export-lp"],
     )
-    def test_out_that_cannot_be_written_is_usage_error(self, tmp_path, argv, capsys):
+    def test_out_that_cannot_be_written_is_usage_error(
+        self, tmp_path, argv, capsys, monkeypatch
+    ):
+        def no_solve(*args):
+            raise AssertionError("solved before --out was checked")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
         src = write_graph(tmp_path / "g.json", complete_graph(3))
         out = tmp_path / "missing" / "out"
         argv = [src if a == "GRAPH" else a for a in argv] + ["--out", str(out)]
         with pytest.raises(SystemExit) as exc:
             main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_out_dir_that_is_a_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def no_graph(*args):
+            raise AssertionError("a graph was generated")
+
+        monkeypatch.setattr(metrics, "prepare_graph", no_graph)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"rows": [{"n_nodes": 20, "deg_exp": 4}]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--config", str(cfg), "--out-dir", str(cfg)])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 

@@ -13,10 +13,6 @@ from udgpart.metrics import (
     RESULT_COLUMNS,
     ExperimentConfig,
     ResultRecord,
-    aggregate_mean_inc_nodes,
-    aggregate_median_times,
-    aggregate_optimal_split,
-    aggregate_relative_means,
     coverage_errors,
     read_results_csv,
     run_experiment,
@@ -158,6 +154,14 @@ class TestObjectiveIdentities:
         assert e_opt.miss_cov <= e_max.miss_cov
 
 
+AGGREGATE_FILES = (
+    "agg_median_time.csv",
+    "agg_mean_inc_nodes.csv",
+    "agg_opt_split.csv",
+    "agg_relative.csv",
+)
+
+
 def desk_config(tmp_path=None, **kw):
     rows = (degree_seed(20, 4), degree_seed(40, 4))
     defaults = dict(
@@ -179,22 +183,16 @@ class TestExperiment:
         assert all(r.status == "optimal" for r in records)
 
     def test_csv_round_trip_reproduces_aggregates(self, tmp_path):
-        records = run_experiment(desk_config(), out_dir=str(tmp_path))
-        reread = read_results_csv(tmp_path / "results.csv")
-        assert aggregate_median_times(reread) == aggregate_median_times(records)
-        assert aggregate_mean_inc_nodes(reread) == aggregate_mean_inc_nodes(records)
-        assert aggregate_optimal_split(reread) == aggregate_optimal_split(records)
-        assert aggregate_relative_means(reread) == aggregate_relative_means(records)
+        batch, again = tmp_path / "batch", tmp_path / "again"
+        run_experiment(desk_config(), out_dir=str(batch))
+        again.mkdir()
+        write_aggregates(read_results_csv(batch / "results.csv"), str(again))
+        for name in AGGREGATE_FILES:
+            assert (again / name).read_bytes() == (batch / name).read_bytes(), name
 
     def test_aggregate_files_written(self, tmp_path):
         run_experiment(desk_config(), out_dir=str(tmp_path))
-        for name in (
-            "results.csv",
-            "agg_median_time.csv",
-            "agg_mean_inc_nodes.csv",
-            "agg_opt_split.csv",
-            "agg_relative.csv",
-        ):
+        for name in ("results.csv",) + AGGREGATE_FILES:
             assert (tmp_path / name).exists()
 
     def test_metrics_recomputed_not_copied(self, tmp_path):
@@ -233,11 +231,12 @@ class TestExperiment:
         assert all(r.status == "optimal" for r in records)
 
     def test_relative_means_have_expected_sign(self, tmp_path):
-        records = run_experiment(desk_config(), out_dir=str(tmp_path))
-        rel = aggregate_relative_means(records)
-        assert rel["instances"] == 10
-        assert rel["p_miss_cov"] >= 0.0
-        assert rel["p_inc_nodes"] >= 0.0
+        run_experiment(desk_config(), out_dir=str(tmp_path))
+        with open(tmp_path / "agg_relative.csv", newline="") as fh:
+            (rel,) = csv.DictReader(fh)
+        assert int(rel["instances"]) == 10
+        assert float(rel["p_miss_cov_percent"]) >= 0.0
+        assert float(rel["p_inc_nodes_percent"]) >= 0.0
 
     def test_unreachable_row_becomes_skipped_record(self):
         impossible = SeedTableRow(
@@ -269,6 +268,14 @@ class TestExperiment:
             desk_config(objectives=("optimal", "weird"))
         with pytest.raises(ValueError):
             desk_config(threads=0)
+        for field, value in (
+            ("graphs_per_row", 1.5),
+            ("max_attempts", 2.5),
+            ("rng_seed", 0.5),
+            ("threads", True),
+        ):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                desk_config(**{field: value})
 
     def test_parallel_matches_sequential(self, tmp_path):
         seq = run_experiment(desk_config(graphs_per_row=2))

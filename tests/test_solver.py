@@ -27,7 +27,7 @@ from udgpart.metrics import coverage_errors, prepare_graph
 from udgpart.seeds import degree_seed
 from udgpart.solver import SolveLimits, _Cover, _search, _tabu, solve
 
-from oracles import OracleCapError, brute_force
+from oracles import OracleCapError, brute_force, highs
 from test_graphs import complete_graph, cycle_graph, graph_from_edges, star_graph
 
 P2 = graph_from_edges(2, [(0, 1)])
@@ -462,32 +462,6 @@ class TestFeasibilityWarmStart:
                     assert r.objective == r.best_bound == brute_force(m).objective
 
 
-def _highs_satisfiable(model):
-    """Whether scipy's HiGHS finds a 0-1 point meeting every row of ``model``."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
-    from scipy.sparse import coo_array
-
-    rows, cols, vals, lo, hi = [], [], [], [], []
-    for r, con in enumerate(model.constraints):
-        for idx, coef in con.terms:
-            rows.append(r)
-            cols.append(idx)
-            vals.append(coef)
-        lo.append(con.bound if con.relation in (">=", "=") else -float("inf"))
-        hi.append(con.bound if con.relation in ("<=", "=") else float("inf"))
-    nv = len(model.variables)
-    matrix = coo_array((vals, (rows, cols)), shape=(len(model.constraints), nv)).tocsr()
-    res = milp(
-        [0.0] * nv,
-        constraints=LinearConstraint(matrix, lo, hi),
-        integrality=[1] * nv,
-        bounds=Bounds(0, 1),
-        options={"time_limit": 60},
-    )
-    assert res.status in (0, 2), res.message  # 0: solved, 2: infeasible
-    return res.status == 0
-
-
 @pytest.mark.parametrize(
     "size, deg, rep",
     [(40, 3, 1), (40, 6, 3), (60, 5, 3), (60, 6, 2), (80, 4, 1), (80, 6, 3)],
@@ -504,7 +478,7 @@ def test_feasibility_statuses_match_highs(size, deg, rep):
     ):
         r = solve(m, SolveLimits(time_limit=30))
         assert r.status in ("optimal", "infeasible")
-        assert (r.status == "optimal") == _highs_satisfiable(m)
+        assert (r.status == "optimal") == (highs(m) is not None)
 
 
 # The 36 exactly-one soft cells of one benchmark graph set, (|V|, degree, n,
