@@ -10,7 +10,6 @@ import csv
 import numbers
 import os
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from .adapt import ThinningStrategy, eliminate_bridges, thin_to_degree
@@ -283,11 +282,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None) -> list
                     tasks.append((graph, n, objective, config.limits, meta))
 
     # both maps keep submission order, so the records do not depend on threads;
-    # the CPU count is read only when a pool may start
+    # the CPU count is read, and the pool's modules are loaded, only when a
+    # pool may start
+    pool = None
     workers = min(config.threads, len(tasks))
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
     with pool or contextlib.nullcontext():
         for record in (pool.map if pool else map)(_solve_packed, tasks):
             emit(record)

@@ -1,8 +1,11 @@
+import concurrent.futures
 import csv
 import hashlib
 import io
 import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -301,11 +304,34 @@ class TestExperiment:
             def map(self, fn, iterable):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(metrics, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         records = run_experiment(desk_config(graphs_per_row=2, threads=10**6))
         assert started == [workers]
         assert len(records) == 2 * 2 * 1 * 2
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+    def test_only_a_pool_loads_its_modules(self):
+        # a fresh interpreter: this one has loaded the pool for other tests
+        script = (
+            "import sys, udgpart, udgpart.cli\n"
+            "from udgpart.seeds import degree_seed\n"
+            "pool = lambda: sorted({m.split('.')[0] for m in sys.modules}\n"
+            "    & {'concurrent', 'multiprocessing'})\n"
+            "print(pool())\n"
+            "config = udgpart.ExperimentConfig(seed_rows=(degree_seed(20, 4),),\n"
+            "    graphs_per_row=1, partition_sizes=(3,), threads=2)\n"
+            "print(len(udgpart.run_experiment(config)), pool())\n"
+        )
+        src = os.path.dirname(os.path.dirname(metrics.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "[]", "2 ['concurrent', 'multiprocessing']"
+        ]
 
     def test_one_thread_reads_no_cpu_count(self, monkeypatch):
         def no_count():

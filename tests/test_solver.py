@@ -24,7 +24,7 @@ from udgpart.ilp import (
     portfolio_domain,
 )
 from udgpart.metrics import coverage_errors, prepare_graph
-from udgpart.seeds import degree_seed
+from udgpart.seeds import DEGREE_SEEDS, degree_seed
 from udgpart.solver import SolveLimits, _Cover, _search, _tabu, solve
 
 from oracles import OracleCapError, brute_force, highs
@@ -479,6 +479,42 @@ def test_feasibility_statuses_match_highs(size, deg, rep):
         r = solve(m, SolveLimits(time_limit=30))
         assert r.status in ("optimal", "infeasible")
         assert (r.status == "optimal") == (highs(m) is not None)
+
+
+# The SG2 degree-3 grid cells whose soft proofs come from the search, not the
+# root bound: DEGREE_SEEDS row, n, explored nodes, and the optimal-soft and
+# maximal-soft optima.  Each graph is the first one an SG2 batch over
+# DEGREE_SEEDS with rng_seed 1 prepares for its row.
+_DFS_PROOFS = [(4, 4, 905, 144, 24), (8, 3, 51_280, 179, 59), (28, 3, 214, 479, 159)]
+
+
+def test_every_proof_kind_matches_highs():
+    pytest.importorskip("scipy")
+    # the node budget, not the clock, decides every status here
+    limits = SolveLimits(time_limit=60, node_limit=100_000)
+    graphs = {
+        i: prepare_graph(DEGREE_SEEDS[i], "SG2", 1 + 100_000 * i, 100) for i in (4, 8, 28)
+    }
+    for i, n, explored, *optima in _DFS_PROOFS:
+        for build, optimum in zip((build_optimal_soft, build_maximal_soft), optima):
+            m = build(graphs[i], n)
+            r = solve(m, limits)
+            assert (r.status, r.objective, r.explored_nodes) == ("optimal", optimum, explored)
+            assert highs(m) == pytest.approx(optimum)
+    # the search refutes a domatic 3-partition of the 60- and 160-node graphs
+    for i in (8, 28):
+        m = build_domatic_feasibility(graphs[i], 3)
+        assert solve(m, limits).status == "infeasible"
+        assert highs(m) is None
+    # and finds one for the 40-node graph, where n = 3 is proven at the root
+    m = build_domatic_feasibility(graphs[4], 3)
+    assert solve(m, limits).status == "optimal"
+    assert highs(m) == 0
+    for build in (build_optimal_soft, build_maximal_soft):
+        m = build(graphs[4], 3)
+        r = solve(m, limits)
+        assert (r.status, r.explored_nodes) == ("optimal", 0)
+        assert highs(m) == pytest.approx(r.objective)
 
 
 # The 36 exactly-one soft cells of one benchmark graph set, (|V|, degree, n,
